@@ -19,7 +19,6 @@ module Schedule = Mm_core.Schedule
 module Reliability = Mm_core.Reliability
 module Table = Mm_report.Table
 module Variation = Mm_device.Variation
-module Xbar = Mm_core.Xbar_schedule
 module Heuristic = Mm_core.Heuristic
 
 let section title = Printf.printf "\n=== %s ===\n\n%!" title
@@ -387,9 +386,9 @@ let reliability ~trials () =
     "MM: %d R-ops (cascade depth %d); R-only baseline: %d R-ops (depth %d).\n\
      Monte Carlo: %d trials x 16 inputs per point, deterministic seed.\n\n%!"
     (C.n_rops mm)
-    (Reliability.rop_depth mm)
+    (C.rop_depth mm)
     (C.n_rops r_only)
-    (Reliability.rop_depth r_only)
+    (C.rop_depth r_only)
     trials;
   let study = Reliability.run spec ~mm ~r_only ~trials ~seed:2025 in
   let t = Table.create [ "variation"; "sigma"; "MM error"; "R-only error" ] in
@@ -497,47 +496,6 @@ let symmetry ~budget () =
         [ true; false ])
     cases;
   Table.print t
-
-(* ------------------------------------------------------------------ *)
-(* Extension D: crossbar scheduling (the paper's future work)          *)
-(* ------------------------------------------------------------------ *)
-
-let crossbar () =
-  section "Extension D: 1D line array vs 2D crossbar latency (parallel R-ops)";
-  Printf.printf
-    "The paper's conclusions point to crossbars for parallel R-ops. Here the\n\
-     same circuits run on both substrates; crossbar latency is\n\
-     N_VS + 2*depth + N_O (one transfer + one parallel-NOR cycle per level).\n\n";
-  let t =
-    Table.create
-      [ "circuit"; "N_R"; "R depth"; "line cycles"; "crossbar cycles"; "verified" ]
-  in
-  let case name circuit spec =
-    let plan = Xbar.plan circuit in
-    let line, xbar = Xbar.latency_comparison circuit in
-    let failures = Xbar.verify plan spec in
-    Table.add_row t
-      [
-        name;
-        string_of_int (C.n_rops circuit);
-        string_of_int (Xbar.depth plan);
-        string_of_int line;
-        string_of_int xbar;
-        (if failures = [] then "yes" else "NO");
-      ]
-  in
-  let gf_spec = Gf.mul_spec 2 in
-  case "GF(2^2) mult, MM" (Reference.gf4_mul_circuit ()) gf_spec;
-  case "GF(2^2) mult, R-only" (Baseline.nor_network gf_spec) gf_spec;
-  let fa = Arith.adder_bits 1 in
-  case "full adder, R-only" (Baseline.nor_network fa) fa;
-  let cmp = Arith.comparator 2 in
-  case "2-bit comparator, R-only" (Baseline.nor_network cmp) cmp;
-  Table.print t;
-  Printf.printf
-    "\nShape: MM circuits are already shallow, so the crossbar gains little;\n\
-     deep R-only NOR networks parallelize well — matching the paper's remark\n\
-     that crossbars mainly help stateful-heavy designs.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Extension E: scalable heuristic synthesis (the paper's future work) *)
@@ -1054,13 +1012,13 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
         Spec.make ~name:(Printf.sprintf "npn-%04x" v) [| Tt.of_int 4 v |])
       sample
   in
-  (* identical caps on every mode keep the sweeps point-for-point
+  (* identical caps on both paths keep the sweeps point-for-point
      comparable: same budget points, same verdicts, different solvers *)
-  let sweep ~incremental ~racing spec =
+  let sweep ~incremental spec =
     let t0 = Unix.gettimeofday () in
     let r =
       Synth.minimize ~timeout_per_call:budget ~max_rops:4 ~max_steps:3
-        ~incremental ~racing spec
+        ~incremental spec
     in
     let wall = Unix.gettimeofday () -. t0 in
     let conflicts =
@@ -1082,8 +1040,8 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
   in
   let t =
     Table.create
-      [ "class"; "verdict"; "mono(s)"; "inc(s)"; "race(s)"; "confl mono";
-        "confl inc"; "match" ]
+      [ "class"; "verdict"; "mono(s)"; "inc(s)"; "confl mono"; "confl inc";
+        "match" ]
   in
   let rows = ref [] in
   let mismatches = ref 0 in
@@ -1095,31 +1053,26 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
          the aggregate — walls of budget-capped runs measure the budget,
          not the solver, and a timeout verdict is nondeterministic across
          paths so it cannot participate in the differential check either. *)
-      let ri, wi, ci = sweep ~incremental:true ~racing:false spec in
+      let ri, wi, ci = sweep ~incremental:true spec in
       if timed_out ri then begin
         incr skipped;
         Table.add_row t
-          [ Spec.name spec; "budget"; "-"; Printf.sprintf "%.2f" wi; "-"; "-";
+          [ Spec.name spec; "budget"; "-"; Printf.sprintf "%.2f" wi; "-";
             string_of_int ci; "t/o" ];
-        rows := (Spec.name spec, "budget", 0., 0., 0., 0, 0, 0, true, true)
-                :: !rows
+        rows := (Spec.name spec, "budget", 0., 0., 0, 0, true, true) :: !rows
       end
       else begin
-        let rm, wm, cm = sweep ~incremental:false ~racing:false spec in
-        let rr, wr, cr = sweep ~incremental:true ~racing:true spec in
-        if timed_out rm || timed_out rr then begin
+        let rm, wm, cm = sweep ~incremental:false spec in
+        if timed_out rm then begin
           incr skipped;
           Table.add_row t
             [ Spec.name spec; "budget"; Printf.sprintf "%.2f" wm;
-              Printf.sprintf "%.2f" wi; Printf.sprintf "%.2f" wr;
-              string_of_int cm; string_of_int ci; "t/o" ];
-          rows := (Spec.name spec, "budget", 0., 0., 0., 0, 0, 0, true, true)
-                  :: !rows
+              Printf.sprintf "%.2f" wi; string_of_int cm; string_of_int ci;
+              "t/o" ];
+          rows := (Spec.name spec, "budget", 0., 0., 0, 0, true, true) :: !rows
         end
         else begin
-          let same =
-            fingerprint rm = fingerprint ri && fingerprint rm = fingerprint rr
-          in
+          let same = fingerprint rm = fingerprint ri in
           if not same then incr mismatches;
           let verdict =
             match rm.Synth.best with
@@ -1130,41 +1083,35 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
           in
           Table.add_row t
             [ Spec.name spec; verdict; Printf.sprintf "%.2f" wm;
-              Printf.sprintf "%.2f" wi; Printf.sprintf "%.2f" wr;
-              string_of_int cm; string_of_int ci;
+              Printf.sprintf "%.2f" wi; string_of_int cm; string_of_int ci;
               (if same then "yes" else "NO") ];
           rows :=
-            (Spec.name spec, verdict, wm, wi, wr, cm, ci, cr, same, false)
-            :: !rows
+            (Spec.name spec, verdict, wm, wi, cm, ci, same, false) :: !rows
         end
       end)
     specs;
   Table.print t;
   let rows = List.rev !rows in
   let done_rows =
-    List.filter (fun (_, _, _, _, _, _, _, _, _, skip) -> not skip) rows
+    List.filter (fun (_, _, _, _, _, _, _, skip) -> not skip) rows
   in
   let tot f = List.fold_left (fun acc r -> acc +. f r) 0. done_rows in
-  let wall_mono = tot (fun (_, _, w, _, _, _, _, _, _, _) -> w) in
-  let wall_inc = tot (fun (_, _, _, w, _, _, _, _, _, _) -> w) in
-  let wall_race = tot (fun (_, _, _, _, w, _, _, _, _, _) -> w) in
+  let wall_mono = tot (fun (_, _, w, _, _, _, _, _) -> w) in
+  let wall_inc = tot (fun (_, _, _, w, _, _, _, _) -> w) in
   let toti f = List.fold_left (fun acc r -> acc + f r) 0 done_rows in
-  let confl_mono = toti (fun (_, _, _, _, _, c, _, _, _, _) -> c) in
-  let confl_inc = toti (fun (_, _, _, _, _, _, c, _, _, _) -> c) in
-  let confl_race = toti (fun (_, _, _, _, _, _, _, c, _, _) -> c) in
+  let confl_mono = toti (fun (_, _, _, _, c, _, _, _) -> c) in
+  let confl_inc = toti (fun (_, _, _, _, _, c, _, _) -> c) in
   let speedup_inc = if wall_inc > 0. then wall_mono /. wall_inc else 0. in
-  let speedup_race = if wall_race > 0. then wall_mono /. wall_race else 0. in
   let per_class =
     String.concat ",\n"
       (List.map
-         (fun (name, verdict, wm, wi, wr, cm, ci, cr, same, skip) ->
+         (fun (name, verdict, wm, wi, cm, ci, same, skip) ->
            Printf.sprintf
              "    { \"class\": \"%s\", \"verdict\": \"%s\", \
               \"monolithic_wall_s\": %.4f, \"incremental_wall_s\": %.4f, \
-              \"racing_wall_s\": %.4f, \"monolithic_conflicts\": %d, \
-              \"incremental_conflicts\": %d, \"racing_conflicts\": %d, \
+              \"monolithic_conflicts\": %d, \"incremental_conflicts\": %d, \
               \"verdicts_match\": %b, \"excluded_over_budget\": %b }"
-             name verdict wm wi wr cm ci cr same skip)
+             name verdict wm wi cm ci same skip)
          rows)
   in
   let json =
@@ -1181,29 +1128,25 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
       \  \"classes_over_budget\": %d,\n\
       \  \"monolithic_wall_s\": %.3f,\n\
       \  \"incremental_wall_s\": %.3f,\n\
-      \  \"racing_wall_s\": %.3f,\n\
       \  \"monolithic_conflicts\": %d,\n\
       \  \"incremental_conflicts\": %d,\n\
-      \  \"racing_conflicts\": %d,\n\
       \  \"speedup_incremental\": %.2f,\n\
-      \  \"speedup_racing\": %.2f,\n\
       \  \"verdict_mismatches\": %d,\n\
       \  \"per_class\": [\n%s\n  ]\n\
        }"
       (Domain.recommended_domain_count ())
       (Domain.recommended_domain_count ())
-      budget n_total limit !skipped wall_mono wall_inc wall_race confl_mono
-      confl_inc confl_race speedup_inc speedup_race !mismatches per_class
+      budget n_total limit !skipped wall_mono wall_inc confl_mono confl_inc
+      speedup_inc !mismatches per_class
   in
   let oc = open_out "BENCH_ladder.json" in
   output_string oc json;
   output_char oc '\n';
   close_out oc;
   Printf.printf
-    "\nincremental %.2fx, incremental+racing %.2fx vs monolithic \
-     (%d/%d classes, %d over budget, %d mismatches); written to \
-     BENCH_ladder.json\n"
-    speedup_inc speedup_race limit n_total !skipped !mismatches
+    "\nincremental %.2fx vs monolithic (%d/%d classes, %d over budget, %d \
+     mismatches); written to BENCH_ladder.json\n"
+    speedup_inc limit n_total !skipped !mismatches
 
 (* ------------------------------------------------------------------ *)
 (* Prove: portfolio / cube-and-conquer orchestration vs single core    *)
@@ -2356,7 +2299,6 @@ let () =
     reliability ~trials ();
     encodings ~budget ();
     symmetry ~budget ();
-    crossbar ();
     heuristic_bench ();
     map_bench ();
     xbar_bench ();
@@ -2389,7 +2331,6 @@ let () =
   | [ "reliability" ] -> reliability ~trials ()
   | [ "encodings" ] -> encodings ~budget ()
   | [ "symmetry" ] -> symmetry ~budget ()
-  | [ "crossbar" ] -> crossbar ()
   | [ "heuristic" ] -> heuristic_bench ()
   | [ "map" ] -> map_bench ~budget:(value "--budget" 0.5) ()
   | [ "xbar" ] -> xbar_bench ~budget:(value "--budget" 0.5) ()

@@ -176,6 +176,17 @@ let print_circuit ~json ~dot c =
     Printf.printf "dot written to %s\n" path
   | None -> ()
 
+(* Probe budget of an --effort level: (seconds per solver call, R-op cap). *)
+let effort_budget = function
+  | 1 -> (0.05, Some 5)
+  | 2 -> (0.5, Some 8)
+  | _ -> (5.0, None)
+
+let print_validation spec failures =
+  let rows = 1 lsl Spec.arity spec in
+  Printf.printf "simulator validation: %d/%d rows correct\n"
+    (rows - List.length failures) rows
+
 let synth_cmd =
   let run exprs pla tables workload arity name timeout rops legs steps minimize
       r_only final no_inc json dot =
@@ -221,11 +232,7 @@ let synth_cmd =
       match a.Synth.verdict with
       | Synth.Sat c ->
         print_circuit ~json ~dot c;
-        let plan = Schedule.plan c in
-        let failures = Schedule.verify plan spec in
-        Printf.printf "simulator validation: %d/%d rows correct\n"
-          ((1 lsl Spec.arity spec) - List.length failures)
-          (1 lsl Spec.arity spec);
+        print_validation spec (Schedule.verify (Schedule.plan c) spec);
         `Ok 0
       | Synth.Unsat ->
         Printf.printf "UNSAT: no circuit with these dimensions (optimality certificate)\n";
@@ -455,10 +462,7 @@ let simulate_cmd =
          print_newline ();
          `Ok 0
        | None ->
-         let failures = Schedule.verify plan spec in
-         Printf.printf "simulator validation: %d/%d rows correct\n"
-           ((1 lsl Spec.arity spec) - List.length failures)
-           (1 lsl Spec.arity spec);
+         print_validation spec (Schedule.verify plan spec);
          `Ok 0)
     | Synth.Unsat -> `Error (false, "UNSAT at these dimensions")
     | Synth.Timeout -> `Error (false, "solver budget exhausted")
@@ -1378,11 +1382,55 @@ let cluster_cmd =
         $ probe_interval $ max_pending $ max_batch $ jobs $ inject
         $ inject_seed $ chaos_kill_after $ chaos_shard $ quiet))
 
+(* ---- shared by map --resyn (line target) and resyn ------------------- *)
+
+module Resyn = Mm_resyn.Resyn
+
+let spec_members spec =
+  [ ("spec", Json.String (Spec.name spec));
+    ("arity", Json.Int (Spec.arity spec));
+    ("outputs", Json.Int (Spec.output_count spec)) ]
+
+let circuit_json c =
+  Json.Obj
+    [ ("legs", Json.Int (C.n_legs c));
+      ("steps_per_leg", Json.Int (C.steps_per_leg c));
+      ("rops", Json.Int (C.n_rops c));
+      ("total_steps", Json.Int (C.n_steps c));
+      ("devices", Json.Int (C.n_devices c)) ]
+
+let resyn_summary (s : Resyn.stats) =
+  Printf.sprintf
+    "%d -> %d steps; %d/%d window(s) accepted (%d trivial, %d atlas, %d \
+     solver), %d merged, %d dead, %d V-step(s) compacted, %d probe call(s), \
+     %d pass(es)%s [%.2fs]"
+    s.steps_before s.steps_after s.windows_accepted s.windows_attempted
+    s.trivial_hits s.atlas_hits s.solver_hits s.sweep_merged s.dce_removed
+    s.v_steps_saved s.probe_calls s.passes
+    (if s.fixed_point then ", fixed point" else "")
+    s.wall_s
+
+let resyn_json (s : Resyn.stats) =
+  Json.Obj
+    [ ("passes", Json.Int s.passes);
+      ("fixed_point", Json.Bool s.fixed_point);
+      ("windows_attempted", Json.Int s.windows_attempted);
+      ("windows_accepted", Json.Int s.windows_accepted);
+      ("trivial_hits", Json.Int s.trivial_hits);
+      ("atlas_hits", Json.Int s.atlas_hits);
+      ("solver_hits", Json.Int s.solver_hits);
+      ("probe_calls", Json.Int s.probe_calls);
+      ("rejected", Json.Int s.rejected);
+      ("sweep_merged", Json.Int s.sweep_merged);
+      ("dce_removed", Json.Int s.dce_removed);
+      ("v_steps_saved", Json.Int s.v_steps_saved);
+      ("steps_before", Json.Int s.steps_before);
+      ("steps_after", Json.Int s.steps_after) ]
+
 (* ---- map: cut-based technology mapping onto SAT-optimal blocks --------- *)
 
 let map_cmd =
   let module Cache = Mm_engine.Cache in
-  let module Resyn = Mm_resyn.Resyn in
   let module Artifact = Mm_resyn.Artifact in
   let module Stitch = Mm_map.Stitch in
   let module Blocklib = Mm_map.Blocklib in
@@ -1470,12 +1518,7 @@ let map_cmd =
       else if effort < 1 || effort > 3 then
         `Error (false, "--effort must be 1..3")
       else begin
-        let timeout_per_call, max_rops =
-          match effort with
-          | 1 -> (0.05, Some 5)
-          | 2 -> (0.5, Some 8)
-          | _ -> (5.0, None)
-        in
+        let timeout_per_call, max_rops = effort_budget effort in
         let cache = open_store ?cache_file ?shards:cache_shards ?atlas () in
         let cfg =
           Engine.config ~timeout_per_call ?max_rops ~domains:1
@@ -1586,9 +1629,7 @@ let map_cmd =
               (* zero-trust: replay the schedule on the crossbar simulator
                  for every input row *)
               let failures = Xstitch.verify sc spec in
-              Printf.printf "simulator validation: %d/%d rows correct\n"
-                (n_rows_spec - List.length failures)
-                n_rows_spec;
+              print_validation spec failures;
               (* and cross-check the two backends row by row *)
               let plan = Schedule.plan r.Stitch.stitched.Stitch.circuit in
               let disagree = ref [] in
@@ -1657,56 +1698,54 @@ let map_cmd =
                 print_endline
                   (Json.to_string_pretty
                      (Json.Obj
-                        [ ("spec", Json.String (Spec.name spec));
-                          ("arity", Json.Int (Spec.arity spec));
-                          ("outputs", Json.Int (Spec.output_count spec));
-                          ("target", Json.String "xbar");
-                          ( "aig",
-                            Json.Obj
-                              [ ("inputs", Json.Int xst.Stitch.aig_inputs);
-                                ("ands", Json.Int xst.Stitch.aig_ands);
-                                ("balanced", Json.Bool true) ] );
-                          ( "block_depth",
-                            Json.Int xst.Stitch.dag.Mapper.depth );
-                          ("rows", Json.Int rows);
-                          ("ports", Json.Int ports);
-                          ("rows_used", Json.Int xr.Xstitch.rows_used);
-                          ("cols_used", Json.Int xr.Xstitch.cols_used);
-                          ("cycles", Json.Int xr.Xstitch.cycles);
-                          ("v_cycles", Json.Int sc.Xsched.v_cycles);
-                          ("r_cycles", Json.Int sc.Xsched.r_cycles);
-                          ("t_cycles", Json.Int sc.Xsched.t_cycles);
-                          ("transfers", Json.Int xr.Xstitch.transfers);
-                          ("readout", Json.Int xr.Xstitch.readout);
-                          ("polish_gain", Json.Int sc.Xsched.polish_gain);
-                          ( "resyn",
-                            match xres with
-                            | None -> Json.Null
-                            | Some x ->
-                              let s = x.Resyn.xstats in
+                        (spec_members spec
+                        @ [ ("target", Json.String "xbar");
+                            ( "aig",
                               Json.Obj
-                                [ ("passes", Json.Int s.Resyn.xpasses);
-                                  ( "merges_attempted",
-                                    Json.Int s.Resyn.merges_attempted );
-                                  ( "merges_accepted",
-                                    Json.Int s.Resyn.merges_accepted );
-                                  ( "rebuilds_rejected",
-                                    Json.Int s.Resyn.rebuilds_rejected );
-                                  ( "cycles_before",
-                                    Json.Int s.Resyn.cycles_before );
-                                  ( "cycles_after",
-                                    Json.Int s.Resyn.cycles_after ) ] );
-                          ("verified", Json.Bool (failures = []));
-                          ( "agrees_with_line",
-                            Json.Bool (!disagree = []) );
-                          ( "blocks",
-                            Json.List
-                              (List.map block_json
-                                 xst.Stitch.stitched.Stitch.placed) );
-                          ( "schedule",
-                            Json.List
-                              (List.mapi cycle_json
-                                 (Array.to_list sc.Xsched.cycles)) ) ]))
+                                [ ("inputs", Json.Int xst.Stitch.aig_inputs);
+                                  ("ands", Json.Int xst.Stitch.aig_ands);
+                                  ("balanced", Json.Bool true) ] );
+                            ( "block_depth",
+                              Json.Int xst.Stitch.dag.Mapper.depth );
+                            ("rows", Json.Int rows);
+                            ("ports", Json.Int ports);
+                            ("rows_used", Json.Int xr.Xstitch.rows_used);
+                            ("cols_used", Json.Int xr.Xstitch.cols_used);
+                            ("cycles", Json.Int xr.Xstitch.cycles);
+                            ("v_cycles", Json.Int sc.Xsched.v_cycles);
+                            ("r_cycles", Json.Int sc.Xsched.r_cycles);
+                            ("t_cycles", Json.Int sc.Xsched.t_cycles);
+                            ("transfers", Json.Int xr.Xstitch.transfers);
+                            ("readout", Json.Int xr.Xstitch.readout);
+                            ("polish_gain", Json.Int sc.Xsched.polish_gain);
+                            ( "resyn",
+                              match xres with
+                              | None -> Json.Null
+                              | Some x ->
+                                let s = x.Resyn.xstats in
+                                Json.Obj
+                                  [ ("passes", Json.Int s.Resyn.xpasses);
+                                    ( "merges_attempted",
+                                      Json.Int s.Resyn.merges_attempted );
+                                    ( "merges_accepted",
+                                      Json.Int s.Resyn.merges_accepted );
+                                    ( "rebuilds_rejected",
+                                      Json.Int s.Resyn.rebuilds_rejected );
+                                    ( "cycles_before",
+                                      Json.Int s.Resyn.cycles_before );
+                                    ( "cycles_after",
+                                      Json.Int s.Resyn.cycles_after ) ] );
+                            ("verified", Json.Bool (failures = []));
+                            ( "agrees_with_line",
+                              Json.Bool (!disagree = []) );
+                            ( "blocks",
+                              Json.List
+                                (List.map block_json
+                                   xst.Stitch.stitched.Stitch.placed) );
+                            ( "schedule",
+                              Json.List
+                                (List.mapi cycle_json
+                                   (Array.to_list sc.Xsched.cycles)) ) ])))
               end;
               if failures = [] && !disagree = [] then `Ok 0
               else
@@ -1750,85 +1789,41 @@ let map_cmd =
             (match resyn_t with
             | None -> print_newline ()
             | Some t ->
-              let s = t.Resyn.stats in
-              Printf.printf
-                "resyn: %d -> %d steps; %d/%d window(s) accepted (%d \
-                 trivial, %d atlas, %d solver), %d merged, %d dead, %d \
-                 V-step(s) compacted, %d probe call(s), %d pass(es)%s \
-                 [%.2fs]\n\n"
-                s.Resyn.steps_before s.Resyn.steps_after
-                s.Resyn.windows_accepted s.Resyn.windows_attempted
-                s.Resyn.trivial_hits s.Resyn.atlas_hits s.Resyn.solver_hits
-                s.Resyn.sweep_merged s.Resyn.dce_removed
-                s.Resyn.v_steps_saved s.Resyn.probe_calls s.Resyn.passes
-                (if s.Resyn.fixed_point then ", fixed point" else "")
-                s.Resyn.wall_s);
+              Printf.printf "resyn: %s\n\n" (resyn_summary t.Resyn.stats));
             if stats then print_blocks st.Stitch.placed;
             print_circuit ~json:false ~dot c;
-            let plan = Schedule.plan c in
-            let failures = Schedule.verify plan spec in
-            Printf.printf "simulator validation: %d/%d rows correct\n"
-              ((1 lsl Spec.arity spec) - List.length failures)
-              (1 lsl Spec.arity spec);
+            let failures = Schedule.verify (Schedule.plan c) spec in
+            print_validation spec failures;
             if json then begin
               print_endline
                 (Json.to_string_pretty
                    (Json.Obj
-                      [ ("spec", Json.String (Spec.name spec));
-                        ("arity", Json.Int (Spec.arity spec));
-                        ("outputs", Json.Int (Spec.output_count spec));
-                        ( "aig",
-                          Json.Obj
-                            [ ("inputs", Json.Int r.Stitch.aig_inputs);
-                              ("ands", Json.Int r.Stitch.aig_ands) ] );
-                        ( "library",
-                          Json.Obj
-                            [ ("lookups", Json.Int r.Stitch.lib_lookups);
-                              ("memo_hits", Json.Int r.Stitch.lib_memo_hits);
-                              ("exact", Json.Int r.Stitch.lib_exact);
-                              ("fallbacks", Json.Int r.Stitch.lib_fallbacks)
-                            ] );
-                        ( "circuit",
-                          Json.Obj
-                            [ ("legs", Json.Int (C.n_legs c));
-                              ("steps_per_leg", Json.Int (C.steps_per_leg c));
-                              ("rops", Json.Int (C.n_rops c));
-                              ("total_steps", Json.Int (C.n_steps c));
-                              ("devices", Json.Int (C.n_devices c)) ] );
-                        ("inverters", Json.Int st.Stitch.inverters);
-                        ( "shared_inverters",
-                          Json.Int st.Stitch.shared_inverters );
-                        ("block_depth", Json.Int r.Stitch.dag.Mapper.depth);
-                        ( "resyn",
-                          match resyn_t with
-                          | None -> Json.Null
-                          | Some t ->
-                            let s = t.Resyn.stats in
+                      (spec_members spec
+                      @ [ ( "aig",
                             Json.Obj
-                              [ ("passes", Json.Int s.Resyn.passes);
-                                ( "fixed_point",
-                                  Json.Bool s.Resyn.fixed_point );
-                                ( "windows_attempted",
-                                  Json.Int s.Resyn.windows_attempted );
-                                ( "windows_accepted",
-                                  Json.Int s.Resyn.windows_accepted );
-                                ("trivial_hits", Json.Int s.Resyn.trivial_hits);
-                                ("atlas_hits", Json.Int s.Resyn.atlas_hits);
-                                ("solver_hits", Json.Int s.Resyn.solver_hits);
-                                ("probe_calls", Json.Int s.Resyn.probe_calls);
-                                ("rejected", Json.Int s.Resyn.rejected);
-                                ("sweep_merged", Json.Int s.Resyn.sweep_merged);
-                                ("dce_removed", Json.Int s.Resyn.dce_removed);
-                                ( "v_steps_saved",
-                                  Json.Int s.Resyn.v_steps_saved );
-                                ("steps_before", Json.Int s.Resyn.steps_before);
-                                ("steps_after", Json.Int s.Resyn.steps_after)
+                              [ ("inputs", Json.Int r.Stitch.aig_inputs);
+                                ("ands", Json.Int r.Stitch.aig_ands) ] );
+                          ( "library",
+                            Json.Obj
+                              [ ("lookups", Json.Int r.Stitch.lib_lookups);
+                                ("memo_hits", Json.Int r.Stitch.lib_memo_hits);
+                                ("exact", Json.Int r.Stitch.lib_exact);
+                                ("fallbacks", Json.Int r.Stitch.lib_fallbacks)
                               ] );
-                        ("verified", Json.Bool (failures = []));
-                        ( "blocks",
-                          Json.List (List.map block_json st.Stitch.placed) );
-                        ("circuit_ir", Artifact.circuit_to_json c);
-                        ("spec_tables", Artifact.spec_to_json spec) ]))
+                          ("circuit", circuit_json c);
+                          ("inverters", Json.Int st.Stitch.inverters);
+                          ( "shared_inverters",
+                            Json.Int st.Stitch.shared_inverters );
+                          ("block_depth", Json.Int r.Stitch.dag.Mapper.depth);
+                          ( "resyn",
+                            match resyn_t with
+                            | None -> Json.Null
+                            | Some t -> resyn_json t.Resyn.stats );
+                          ("verified", Json.Bool (failures = []));
+                          ( "blocks",
+                            Json.List (List.map block_json st.Stitch.placed) );
+                          ("circuit_ir", Artifact.circuit_to_json c);
+                          ("spec_tables", Artifact.spec_to_json spec) ])))
             end;
             if failures = [] then `Ok 0
             else `Error (false, "schedule simulation disagrees with the spec")
@@ -1853,7 +1848,6 @@ let map_cmd =
 (* ---- resyn: re-optimize a previously emitted map artifact -------------- *)
 
 let resyn_cmd =
-  let module Resyn = Mm_resyn.Resyn in
   let module Artifact = Mm_resyn.Artifact in
   let module Cache = Mm_engine.Cache in
   let artifact_arg =
@@ -1913,12 +1907,7 @@ let resyn_cmd =
             match (Artifact.circuit_of_json cj, Artifact.spec_of_json sj) with
             | Error msg, _ | _, Error msg -> `Error (false, msg)
             | Ok c0, Ok spec -> (
-              let timeout_per_call, max_rops =
-                match effort with
-                | 1 -> (0.05, Some 5)
-                | 2 -> (0.5, Some 8)
-                | _ -> (5.0, None)
-              in
+              let timeout_per_call, max_rops = effort_budget effort in
               let cache =
                 open_store ?cache_file ?shards:cache_shards ?atlas ()
               in
@@ -1935,60 +1924,18 @@ let resyn_cmd =
               | t ->
                 Option.iter Cache.flush cache;
                 let c = t.Resyn.circuit in
-                let s = t.Resyn.stats in
-                Printf.printf
-                  "resyn %s: %d -> %d steps; %d/%d window(s) accepted (%d \
-                   trivial, %d atlas, %d solver), %d merged, %d dead, %d \
-                   V-step(s) compacted, %d probe call(s), %d pass(es)%s \
-                   [%.2fs]\n"
-                  (Spec.name spec) s.Resyn.steps_before s.Resyn.steps_after
-                  s.Resyn.windows_accepted s.Resyn.windows_attempted
-                  s.Resyn.trivial_hits s.Resyn.atlas_hits
-                  s.Resyn.solver_hits s.Resyn.sweep_merged
-                  s.Resyn.dce_removed s.Resyn.v_steps_saved
-                  s.Resyn.probe_calls s.Resyn.passes
-                  (if s.Resyn.fixed_point then ", fixed point" else "")
-                  s.Resyn.wall_s;
-                let plan = Schedule.plan c in
-                let failures = Schedule.verify plan spec in
-                Printf.printf "simulator validation: %d/%d rows correct\n"
-                  ((1 lsl Spec.arity spec) - List.length failures)
-                  (1 lsl Spec.arity spec);
+                Printf.printf "resyn %s: %s\n" (Spec.name spec)
+                  (resyn_summary t.Resyn.stats);
+                let failures = Schedule.verify (Schedule.plan c) spec in
+                print_validation spec failures;
                 let artifact_json =
                   Json.Obj
-                    [ ("spec", Json.String (Spec.name spec));
-                      ("arity", Json.Int (Spec.arity spec));
-                      ("outputs", Json.Int (Spec.output_count spec));
-                      ( "circuit",
-                        Json.Obj
-                          [ ("legs", Json.Int (C.n_legs c));
-                            ("steps_per_leg", Json.Int (C.steps_per_leg c));
-                            ("rops", Json.Int (C.n_rops c));
-                            ("total_steps", Json.Int (C.n_steps c));
-                            ("devices", Json.Int (C.n_devices c)) ] );
-                      ( "resyn",
-                        Json.Obj
-                          [ ("passes", Json.Int s.Resyn.passes);
-                            ("fixed_point", Json.Bool s.Resyn.fixed_point);
-                            ( "windows_attempted",
-                              Json.Int s.Resyn.windows_attempted );
-                            ( "windows_accepted",
-                              Json.Int s.Resyn.windows_accepted );
-                            ("trivial_hits", Json.Int s.Resyn.trivial_hits);
-                            ("atlas_hits", Json.Int s.Resyn.atlas_hits);
-                            ("solver_hits", Json.Int s.Resyn.solver_hits);
-                            ("probe_calls", Json.Int s.Resyn.probe_calls);
-                            ("rejected", Json.Int s.Resyn.rejected);
-                            ("sweep_merged", Json.Int s.Resyn.sweep_merged);
-                            ("dce_removed", Json.Int s.Resyn.dce_removed);
-                            ( "v_steps_saved",
-                              Json.Int s.Resyn.v_steps_saved );
-                            ("steps_before", Json.Int s.Resyn.steps_before);
-                            ("steps_after", Json.Int s.Resyn.steps_after) ]
-                      );
-                      ("verified", Json.Bool (failures = []));
-                      ("circuit_ir", Artifact.circuit_to_json c);
-                      ("spec_tables", Artifact.spec_to_json spec) ]
+                    (spec_members spec
+                    @ [ ("circuit", circuit_json c);
+                        ("resyn", resyn_json t.Resyn.stats);
+                        ("verified", Json.Bool (failures = []));
+                        ("circuit_ir", Artifact.circuit_to_json c);
+                        ("spec_tables", Artifact.spec_to_json spec) ])
                 in
                 (match out with
                 | Some path ->

@@ -117,12 +117,11 @@ let realizes t spec =
     end
   end
 
-(* ASAP dependency level of each R-op (1-based); literals, legs and V-op
-   taps are level 0. The maximum is the R-phase critical path — the cycle
-   lower bound a row-parallel scheduler chases. *)
-let rop_levels t =
-  let n = Array.length t.rops in
-  let level = Array.make n 1 in
+(* R-phase critical path: the longest chain of R-ops feeding R-ops, with
+   each R-op at its ASAP level (1-based) and literals, legs and V-op taps at
+   level 0. *)
+let rop_depth t =
+  let level = Array.make (Array.length t.rops) 1 in
   Array.iteri
     (fun i { in1; in2 } ->
       let of_src = function
@@ -131,9 +130,7 @@ let rop_levels t =
       in
       level.(i) <- 1 + max (of_src in1) (of_src in2))
     t.rops;
-  level
-
-let rop_depth t = Array.fold_left max 0 (rop_levels t)
+  Array.fold_left max 0 level
 
 let n_legs t = Array.length t.legs
 let steps_per_leg t = if n_legs t = 0 then 0 else Array.length t.legs.(0)

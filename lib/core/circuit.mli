@@ -91,13 +91,10 @@ val n_outputs : t -> int
     sequential on a line array). *)
 val n_steps : t -> int
 
-(** ASAP dependency level of every R-op (1-based; literal, leg and V-op
-    sources count as level 0). R-ops of equal level are mutually
-    independent and may fire in the same cycle on a row-parallel target. *)
-val rop_levels : t -> int array
-
-(** [max (rop_levels t)] (0 when there are no R-ops) — the R-phase critical
-    path, the cycle lower bound a row-parallel scheduler is chasing. *)
+(** R-op cascade depth: the longest chain of R-ops feeding R-ops (0 when
+    there are no R-ops; literal, leg and V-op sources count as level 0) —
+    the quantity the paper blames for fidelity loss, and the R-phase cycle
+    lower bound a row-parallel scheduler is chasing. *)
 val rop_depth : t -> int
 
 (** Devices: one per distinct tap point of each leg (at least one per leg),

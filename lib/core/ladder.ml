@@ -118,7 +118,7 @@ let delta_stats (a : Solver.stats) (b : Solver.stats) =
     props_per_s = b.props_per_s;
   }
 
-let solve_point ?timeout ?stop t ~n_legs ~steps ~n_rops =
+let solve_point ?timeout t ~n_legs ~steps ~n_rops =
   (* same normalization as [Encode.config] before range-checking, so a
      request like (0 legs, k steps) is valid against a 0-leg encoding *)
   let n_legs, steps = if n_legs = 0 || steps = 0 then (0, 0) else (n_legs, steps) in
@@ -149,7 +149,7 @@ let solve_point ?timeout ?stop t ~n_legs ~steps ~n_rops =
     let result =
       Solver.solve
         ~assumptions:(assumptions t ~n_legs ~steps ~n_rops)
-        ?timeout ?stop t.solver
+        ?timeout t.solver
     in
     t.stale_phases <- result <> Solver.Sat;
     let stats = delta_stats before (Solver.stats t.solver) in

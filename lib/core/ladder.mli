@@ -20,9 +20,7 @@
     touching the solver (certificate reuse across the two phases).
 
     A [t] owns a single {!Mm_sat.Solver.t} and is not safe for concurrent
-    use; parallel frontier racing ({!Synth.minimize} with [~racing:true])
-    runs a second, independent instance on its own domain and cancels the
-    loser through the solver's cooperative [stop] hook. *)
+    use. *)
 
 module Spec = Mm_boolfun.Spec
 module Solver = Mm_sat.Solver
@@ -73,12 +71,10 @@ val certificates : t -> int
 (** [solve_point t ~n_legs ~steps ~n_rops] answers Φ restricted to one
     budget point. SAT models are decoded through {!Encode.decode_prefix}
     and re-verified against the spec on all rows (raising [Failure] on an
-    encoder inconsistency). [stop] is the solver's cooperative cancellation
-    hook (see {!Mm_sat.Solver.solve}); a cancelled call reports
-    {!Timeout}. Dimensions must not exceed the encoded maxima. *)
+    encoder inconsistency). Dimensions must not exceed the encoded
+    maxima. *)
 val solve_point :
   ?timeout:float ->
-  ?stop:(unit -> bool) ->
   t ->
   n_legs:int ->
   steps:int ->

@@ -27,10 +27,6 @@ type study = {
 val run :
   Spec.t -> mm:Circuit.t -> r_only:Circuit.t -> trials:int -> seed:int -> study
 
-(** R-op cascade depth (longest chain of R-ops feeding R-ops) — the
-    quantity the paper blames for fidelity loss. *)
-val rop_depth : Circuit.t -> int
-
 (** Worst-case switching events per device over all inputs (endurance
     pressure; the paper notes V-ops may switch a cell on every operation). *)
 val max_switches_per_run : Circuit.t -> int

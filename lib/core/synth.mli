@@ -70,19 +70,11 @@ type report = {
     propagation of every point). [~incremental:false] retains the
     fresh-solver-per-point monolithic path as a differential-testing
     oracle ([make smoke-ladder] diffs the two).
-    [racing] (off by default, implies [incremental]) overlaps each frontier
-    point with its successor on a second ladder instance in its own domain,
-    cancelling the loser through the solver's cooperative [stop] hook.
-    Racing is automatically disabled — with a once-per-process warning —
-    when [Domain.recommended_domain_count () < 2]: on a 1-core host the
-    speculative ladder just steals the core (measured ~1.0x in
-    BENCH_ladder).
 
     [prove] delegates each budget point to an external proof orchestrator
     (see [Mm_prove]): when given, it replaces both the ladder and the
     monolithic path for fresh solves — [lookup]/[store] and the in-call
-    memo still apply — and forces [racing] off (the orchestrator runs its
-    own workers). The hook receives the per-call timeout and the exact
+    memo still apply. The hook receives the per-call timeout and the exact
     {!Encode.config} of the requested point and must return a faithful
     {!attempt} (a [Sat] verdict must carry a circuit valid for [spec]).
 
@@ -103,7 +95,6 @@ val minimize :
   ?taps:Encode.taps ->
   ?symmetry_breaking:bool ->
   ?incremental:bool ->
-  ?racing:bool ->
   ?prove:(timeout:float -> Encode.config -> attempt) ->
   ?lookup:(Encode.config -> attempt option) ->
   ?store:(Encode.config -> attempt -> unit) ->

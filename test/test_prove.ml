@@ -370,22 +370,6 @@ let test_minimize_with_prove_differential () =
   Alcotest.(check bool) "hook observed every point" true
     (!logged = List.length proved.Synth.attempts)
 
-let test_racing_auto_disable_safe () =
-  (* on a 1-core host racing must silently (warn-once) fall back to the
-     plain incremental sweep; on a multicore host it actually races —
-     either way the report must match the non-racing one *)
-  let a = Synth.minimize ~timeout_per_call:30. ~max_steps:4 andor in
-  let b =
-    Synth.minimize ~timeout_per_call:30. ~max_steps:4 ~racing:true andor
-  in
-  let dims (r : Synth.report) =
-    match r.Synth.best with
-    | Some (_, at) ->
-      Some (at.Synth.n_rops, at.Synth.n_legs, at.Synth.steps_per_leg)
-    | None -> None
-  in
-  Alcotest.(check bool) "racing matches plain" true (dims a = dims b)
-
 (* ---- engine integration ----------------------------------------------- *)
 
 let test_engine_stats_v4 () =
@@ -453,8 +437,6 @@ let () =
             test_prove_auto_and_replay;
           Alcotest.test_case "minimize differential" `Quick
             test_minimize_with_prove_differential;
-          Alcotest.test_case "racing auto-disable" `Quick
-            test_racing_auto_disable_safe;
         ] );
       ( "engine",
         [

@@ -153,10 +153,10 @@ let test_error_rate_deterministic () =
 
 let test_rop_depth () =
   Alcotest.(check int) "gf ref depth 2" 2
-    (Reliability.rop_depth (Reference.gf4_mul_circuit ()));
-  Alcotest.(check int) "xor2 depth 1" 1 (Reliability.rop_depth (xor2_circuit ()));
+    (C.rop_depth (Reference.gf4_mul_circuit ()));
+  Alcotest.(check int) "xor2 depth 1" 1 (C.rop_depth (xor2_circuit ()));
   Alcotest.(check int) "v-only depth 0" 0
-    (Reliability.rop_depth (Reference.table2_circuit ()))
+    (C.rop_depth (Reference.table2_circuit ()))
 
 let test_reliability_study () =
   let mm = xor2_circuit () in

@@ -458,6 +458,9 @@ let test_wire_fuzz () =
            in
            go 0
          with Unix.Unix_error _ -> ());
+        (* half-close: a truncated frame then ends at the daemon's EOF
+           instead of waiting out the receive timeout *)
+        (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
         (* read whatever comes back (typed error or EOF), bounded wait *)
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
         let buf = Bytes.create 4096 in

@@ -1,12 +1,5 @@
 module Crossbar = Mm_device.Crossbar
 module Rng = Mm_device.Rng
-module X = Mm_core.Xbar_schedule
-module C = Mm_core.Circuit
-module Reference = Mm_core.Reference
-module Baseline = Mm_core.Baseline
-module Literal = Mm_boolfun.Literal
-module Gf = Mm_boolfun.Gf
-module Arith = Mm_boolfun.Arith
 
 (* --- raw crossbar --- *)
 
@@ -149,65 +142,6 @@ let test_vop_rows_duplicate_rejected () =
   Alcotest.(check bool) "row 2 written" true (Crossbar.states xb).(2).(1);
   Alcotest.(check bool) "row 1 floats" false (Crossbar.states xb).(1).(1)
 
-(* --- crossbar scheduling --- *)
-
-let test_gf_on_crossbar () =
-  let c = Reference.gf4_mul_circuit () in
-  let plan = X.plan c in
-  Alcotest.(check int) "depth 2" 2 (X.depth plan);
-  Alcotest.(check (list int)) "all 16 inputs" [] (X.verify plan (Gf.mul_spec 2));
-  (* line: 3 + 4 + 2 = 9; crossbar: 3 + 2*2 + 2 = 9 — equal at depth 2 *)
-  let line, xbar = X.latency_comparison c in
-  Alcotest.(check int) "line cycles" 9 line;
-  Alcotest.(check int) "crossbar cycles" 9 xbar
-
-let test_deep_r_only_wins_on_crossbar () =
-  (* the R-only baseline has a deep but wide NOR DAG: the crossbar's
-     parallel levels beat the line array's strictly sequential R-ops *)
-  let spec = Gf.mul_spec 2 in
-  let c = Baseline.nor_network spec in
-  let plan = X.plan c in
-  Alcotest.(check (list int)) "correct" [] (X.verify plan spec);
-  let line, xbar = X.latency_comparison c in
-  Alcotest.(check bool)
-    (Printf.sprintf "crossbar %d < line %d" xbar line)
-    true (xbar < line)
-
-let test_v_only_circuit () =
-  let c = Reference.table2_circuit () in
-  let plan = X.plan c in
-  Alcotest.(check int) "depth 0" 0 (X.depth plan);
-  Alcotest.(check (list int)) "correct" [] (X.verify plan Arith.table2_spec)
-
-let test_literal_inputs_on_crossbar () =
-  let c =
-    C.make ~arity:2 ~legs:[||]
-      ~rops:
-        [| { C.in1 = C.From_literal (Literal.Pos 1);
-             in2 = C.From_literal (Literal.Pos 2) } |]
-      ~outputs:[| C.From_rop 0 |]
-      ()
-  in
-  let plan = X.plan c in
-  let spec =
-    Mm_boolfun.Spec.of_fun ~name:"nor2" ~arity:2 ~outputs:1
-      (fun ~row ~output:_ -> row = 0)
-  in
-  Alcotest.(check (list int)) "nor2" [] (X.verify plan spec)
-
-let test_nimp_rejected_on_crossbar () =
-  let c =
-    C.make ~arity:1 ~rop_kind:Mm_core.Rop.Nimp ~legs:[||]
-      ~rops:
-        [| { C.in1 = C.From_literal (Literal.Pos 1);
-             in2 = C.From_literal Literal.Const0 } |]
-      ~outputs:[| C.From_rop 0 |]
-      ()
-  in
-  Alcotest.check_raises "nor only"
-    (Invalid_argument "Xbar_schedule.plan: only MAGIC NOR circuits are schedulable")
-    (fun () -> ignore (X.plan c))
-
 let () =
   Alcotest.run "xbar"
     [
@@ -226,13 +160,5 @@ let () =
             test_parallel_nor_d2d_independence;
           Alcotest.test_case "vop duplicate row" `Quick
             test_vop_rows_duplicate_rejected;
-        ] );
-      ( "schedule",
-        [
-          Alcotest.test_case "gf multiplier" `Quick test_gf_on_crossbar;
-          Alcotest.test_case "deep R-only wins" `Quick test_deep_r_only_wins_on_crossbar;
-          Alcotest.test_case "v-only" `Quick test_v_only_circuit;
-          Alcotest.test_case "literal inputs" `Quick test_literal_inputs_on_crossbar;
-          Alcotest.test_case "nimp rejected" `Quick test_nimp_rejected_on_crossbar;
         ] );
     ]

@@ -7,6 +7,7 @@ module Xstitch = Mm_map.Xstitch
 module Engine = Mm_engine.Engine
 module Cache = Mm_engine.Cache
 module Arith = Mm_boolfun.Arith
+module Gf = Mm_boolfun.Gf
 module Spec = Mm_boolfun.Spec
 module Expr = Mm_boolfun.Expr
 module C = Mm_core.Circuit
@@ -152,7 +153,8 @@ let test_end_to_end () =
         (Spec.name spec ^ " cycles <= 1D steps")
         true
         (result.Xstitch.cycles <= steps))
-    [ Arith.parity 5; Arith.adder_bits 2; Arith.mux41; Arith.majority 5 ]
+    [ Arith.parity 5; Arith.adder_bits 2; Arith.mux41; Arith.majority 5;
+      Gf.mul_spec 2; Arith.table2_spec ]
 
 let test_trivial_outputs () =
   (* wires, negated wires and constants exercise the no-block paths *)
