@@ -34,7 +34,8 @@ MMSYNTH     := _build/default/bin/mmsynth.exe
 .PHONY: all build test smoke smoke-fault smoke-serve smoke-ladder \
   smoke-prove smoke-map smoke-xbar smoke-resyn smoke-atlas smoke-cluster \
   check bench bench-ladder bench-prove bench-map bench-xbar bench-resyn \
-  bench-robustness bench-serve bench-storm bench-atlas clean
+  bench-robustness bench-serve bench-storm bench-atlas perfbench \
+  perfbench-trace clean
 
 all: build
 
@@ -268,6 +269,14 @@ bench-storm:
 
 bench-atlas:
 	dune exec bench/main.exe -- atlas
+
+# The repository benchmark (BENCHMARK.json): every workload, end-to-end
+# metrics only; `perfbench-trace` adds the per-layer breakdown.
+perfbench:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 30 --trace 0
+
+perfbench-trace:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 30 --trace 1
 
 clean:
 	dune clean

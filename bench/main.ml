@@ -361,8 +361,8 @@ let fig2 () =
   section "Fig. 2: electrical execution of the GF(2^2) multiplier, input x=1011";
   let c = Reference.gf4_mul_circuit () in
   let plan = Schedule.plan c in
-  let r = Schedule.execute plan ~input:0b1011 () in
-  Format.printf "%a@." Mm_device.Waveform.pp r.Schedule.waveform;
+  let r, waveform = Schedule.trace plan ~input:0b1011 () in
+  Format.printf "%a@." Mm_device.Waveform.pp waveform;
   Printf.printf
     "\nReadout: out1 = %d, out2 = %d over %d cycles on %d cells\n\
      (paper measurement: out1 = 0, out2 = 1, 9 cycles incl. readout, 10 cells).\n"

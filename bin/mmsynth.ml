@@ -453,8 +453,8 @@ let simulate_cmd =
       let plan = Schedule.plan c in
       (match input with
        | Some row ->
-         let r = Schedule.execute plan ~input:row () in
-         Format.printf "%a@." Mm_device.Waveform.pp r.Schedule.waveform;
+         let r, waveform = Schedule.trace plan ~input:row () in
+         Format.printf "%a@." Mm_device.Waveform.pp waveform;
          Printf.printf "outputs:";
          Array.iteri
            (fun o b -> Printf.printf " out%d=%d" (o + 1) (if b then 1 else 0))

@@ -30,9 +30,9 @@ let () =
   (* the Fig. 2 run: a = 10b = x (element 2), b = 11b = x+1 (element 3);
      x * (x+1) = x^2 + x = 1, so out1 (MSB) = 0 and out2 (LSB) = 1 *)
   let plan = Schedule.plan circuit in
-  let run = Schedule.execute plan ~input:0b1011 () in
+  let run, waveform = Schedule.trace plan ~input:0b1011 () in
   Format.printf "@.Electrical trace for input 1011 (Fig. 2):@.%a@.@."
-    Waveform.pp run.Schedule.waveform;
+    Waveform.pp waveform;
   Format.printf "Readout after %d cycles: out1 = %b, out2 = %b (expected 0, 1)@."
     run.Schedule.cycles run.Schedule.outputs.(0) run.Schedule.outputs.(1);
 

@@ -28,44 +28,47 @@ let pp_cube n ppf c =
     Format.pp_print_string ppf
       (String.concat "*" (List.map Literal.to_string lits))
 
-(* Classic QMC. Implicants are (value, dc) pairs with [value land dc = 0];
-   two implicants with equal [dc] merge when their values differ in exactly
-   one bit. Implicants never marked as merged are prime. *)
+(* Classic QMC with a hashed merge step. Implicants are (value, dc) pairs
+   with [value land dc = 0], packed into one int key. Two implicants with
+   equal [dc] merge when their values differ in exactly one bit, so each
+   implicant only needs to look up its one-bit neighbour (value lor bit, dc)
+   for every free bit it has at 0: O(L·n) per level of L implicants.
+   Implicants never marked as merged are prime. *)
 let prime_implicants n minterms =
-  let module S = Set.Make (struct
-    type t = int * int
-
-    let compare = Stdlib.compare
-  end) in
-  let primes = ref S.empty in
-  let current = ref (List.map (fun m -> (m, 0)) minterms) in
-  let continue = ref true in
-  while !continue do
-    let level = List.sort_uniq Stdlib.compare !current in
-    let merged = Hashtbl.create 64 in
-    let next = ref S.empty in
-    let arr = Array.of_list level in
-    let len = Array.length arr in
-    for i = 0 to len - 1 do
-      for j = i + 1 to len - 1 do
-        let v1, d1 = arr.(i) and v2, d2 = arr.(j) in
-        if d1 = d2 then begin
-          let diff = v1 lxor v2 in
-          if diff <> 0 && diff land (diff - 1) = 0 then begin
-            Hashtbl.replace merged arr.(i) ();
-            Hashtbl.replace merged arr.(j) ();
-            next := S.add (v1 land v2, d1 lor diff) !next
-          end
-        end
-      done
-    done;
+  let pack v dc = (dc lsl n) lor v in
+  let value k = k land ((1 lsl n) - 1) and dc k = k lsr n in
+  let primes = ref [] in
+  let level = ref (List.sort_uniq Int.compare minterms) in
+  while !level <> [] do
+    (* implicant key -> merged flag *)
+    let merged = Hashtbl.create (2 * List.length !level) in
+    List.iter (fun k -> Hashtbl.replace merged k false) !level;
+    let next = Hashtbl.create 64 in
     List.iter
-      (fun imp -> if not (Hashtbl.mem merged imp) then primes := S.add imp !primes)
-      level;
-    if S.is_empty !next then continue := false else current := S.elements !next
+      (fun k ->
+        let v = value k and d = dc k in
+        for b = 0 to n - 1 do
+          let bit = 1 lsl b in
+          if (v lor d) land bit = 0 then begin
+            let k' = pack (v lor bit) d in
+            if Hashtbl.mem merged k' then begin
+              Hashtbl.replace merged k true;
+              Hashtbl.replace merged k' true;
+              Hashtbl.replace next (pack v (d lor bit)) ()
+            end
+          end
+        done)
+      !level;
+    List.iter
+      (fun k ->
+        if not (Hashtbl.find merged k) then primes := (value k, dc k) :: !primes)
+      !level;
+    level := Hashtbl.fold (fun k () acc -> k :: acc) next []
   done;
   let full = (1 lsl n) - 1 in
-  List.map (fun (v, dc) -> { care = full land lnot dc; value = v }) (S.elements !primes)
+  List.map
+    (fun (v, dc) -> { care = full land lnot dc; value = v })
+    (List.sort_uniq Stdlib.compare !primes)
 
 let minimize tt =
   let n = Truth_table.arity tt in

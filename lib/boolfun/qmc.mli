@@ -17,6 +17,11 @@ val cube_literals : int -> cube -> Literal.t list
 (** [covers c q] tests whether row [q] satisfies cube [c]. *)
 val covers : cube -> int -> bool
 
+(** [prime_implicants n minterms] lists every prime implicant of the
+    [n]-input function whose ON-set is [minterms] (row indices), ordered by
+    ([value], don't-care mask). *)
+val prime_implicants : int -> int list -> cube list
+
 (** [minimize tt] is a prime-implicant cover of the ON-set of [tt]. Returns
     [[]] for the constant-0 function and [[{care = 0; value = 0}]] for the
     constant-1 function. *)

@@ -62,14 +62,29 @@ let leg_value t ~leg ~step =
   done;
   !acc
 
-(* R-op values are computed in order; each call recomputes the chain. *)
+let source_value t values = function
+  | From_literal l -> Literal.table t.arity l
+  | From_leg l -> leg_value t ~leg:l ~step:(Array.length t.legs.(l) - 1)
+  | From_vop (l, s) -> leg_value t ~leg:l ~step:s
+  | From_rop r -> values.(r)
+
+(* One pass over the R-ops in order; each tapped leg table (usually a leg's
+   final one) is computed once, on first use. *)
 let rop_values t =
   let values = Array.make (Array.length t.rops) (Tt.const t.arity false) in
+  let taps = Hashtbl.create 16 in
+  let tap leg step =
+    match Hashtbl.find_opt taps (leg, step) with
+    | Some tt -> tt
+    | None ->
+      let tt = leg_value t ~leg ~step in
+      Hashtbl.add taps (leg, step) tt;
+      tt
+  in
   let source_val = function
-    | From_literal l -> Literal.table t.arity l
-    | From_leg l -> leg_value t ~leg:l ~step:(Array.length t.legs.(l) - 1)
-    | From_vop (l, s) -> leg_value t ~leg:l ~step:s
-    | From_rop r -> values.(r)
+    | From_leg l -> tap l (Array.length t.legs.(l) - 1)
+    | From_vop (l, s) -> tap l s
+    | (From_literal _ | From_rop _) as src -> source_value t values src
   in
   Array.iteri
     (fun i { in1; in2 } ->
@@ -77,19 +92,9 @@ let rop_values t =
     t.rops;
   values
 
-let source_value_with t values = function
-  | From_literal l -> Literal.table t.arity l
-  | From_leg l -> leg_value t ~leg:l ~step:(Array.length t.legs.(l) - 1)
-  | From_vop (l, s) -> leg_value t ~leg:l ~step:s
-  | From_rop r -> values.(r)
-
-let source_value t src = source_value_with t (rop_values t) src
-
-let rop_value t i = (rop_values t).(i)
-
 let output_tables t =
   let values = rop_values t in
-  Array.map (source_value_with t values) t.outputs
+  Array.map (source_value t values) t.outputs
 
 let eval t row =
   let tables = output_tables t in

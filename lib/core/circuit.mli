@@ -58,11 +58,13 @@ val validate : t -> unit
     initial const-0. *)
 val leg_value : t -> leg:int -> step:int -> Tt.t
 
-(** Truth table produced by a source. *)
-val source_value : t -> source -> Tt.t
+(** Truth tables of all R-op outputs, in order, in one pass (each tapped
+    leg table is computed once). *)
+val rop_values : t -> Tt.t array
 
-(** Truth table of R-op [i]'s output. *)
-val rop_value : t -> int -> Tt.t
+(** [source_value t values src] is the truth table produced by [src], with
+    [values = rop_values t] (evaluate it once and reuse it across sources). *)
+val source_value : t -> Tt.t array -> source -> Tt.t
 
 (** Truth tables of all outputs. *)
 val output_tables : t -> Tt.t array

@@ -1,6 +1,8 @@
 module Spec = Mm_boolfun.Spec
 module Variation = Mm_device.Variation
 module Line_array = Mm_device.Line_array
+module Device = Mm_device.Device
+module Waveform = Mm_device.Waveform
 
 type point = { variation : Variation.t; mm_error : float; r_only_error : float }
 
@@ -26,35 +28,29 @@ let run spec ~mm ~r_only ~trials ~seed =
   in
   { spec_name = Spec.name spec; mm_circuit = mm; r_only_circuit = r_only; points }
 
+(* A switch is a change of a cell's logical state (LRS below the geometric
+   mean of the nominal resistances) between consecutive recorded cycles. *)
 let max_switches_per_run c =
   let plan = Schedule.plan c in
   let n = c.Circuit.arity in
+  let p = Device.default_params in
+  let mid = sqrt (p.Device.r_lrs *. p.Device.r_hrs) in
   let worst = ref 0 in
   for input = 0 to (1 lsl n) - 1 do
-    let r = Schedule.execute plan ~input () in
-    (* switches are not exposed directly on the run; recompute via a fresh
-       execution counting waveform length as a proxy is wrong — instead
-       count state changes across waveform rows. *)
-    let rows = Mm_device.Waveform.rows r.Schedule.waveform in
+    let _, wf = Schedule.trace plan ~input () in
     let switches = ref 0 in
     let prev = ref None in
     List.iter
-      (fun { Mm_device.Waveform.cells; _ } ->
+      (fun { Waveform.cells; _ } ->
         let states =
-          Array.map
-            (fun cell ->
-              cell.Line_array.resistance
-              < sqrt
-                  (Mm_device.Device.default_params.Mm_device.Device.r_lrs
-                  *. Mm_device.Device.default_params.Mm_device.Device.r_hrs))
-            cells
+          Array.map (fun cell -> cell.Line_array.resistance < mid) cells
         in
         (match !prev with
          | Some old ->
            Array.iteri (fun i s -> if s <> old.(i) then incr switches) states
          | None -> ());
         prev := Some states)
-      rows;
+      (Waveform.rows wf);
     worst := max !worst !switches
   done;
   !worst

@@ -27,6 +27,8 @@ type study = {
 val run :
   Spec.t -> mm:Circuit.t -> r_only:Circuit.t -> trials:int -> seed:int -> study
 
-(** Worst-case switching events per device over all inputs (endurance
-    pressure; the paper notes V-ops may switch a cell on every operation). *)
+(** Endurance pressure (the paper notes V-ops may switch a cell on every
+    operation): the worst case, over all input rows of a nominal
+    {!Schedule.trace}, of the number of cell state changes between
+    consecutive recorded cycles, summed over cells. *)
 val max_switches_per_run : Circuit.t -> int

@@ -67,13 +67,7 @@ let circuit t = t.circuit
 let n_cells t = Array.length t.roles
 let roles t = Array.copy t.roles
 
-type run = {
-  input : int;
-  outputs : bool array;
-  expected : int option;
-  cycles : int;
-  waveform : Waveform.t;
-}
+type run = { input : int; outputs : bool array; cycles : int }
 
 let cell_of_source t = function
   | Circuit.From_leg l -> t.cell_of_leg.(l)
@@ -84,13 +78,16 @@ let cell_of_source t = function
   | Circuit.From_rop r -> t.cell_of_rop.(r)
   | Circuit.From_literal l -> List.assoc l t.cell_of_literal
 
-let execute ?(params = Device.default_params) ?rng ?(faults = []) t ~input () =
+(* The row simulator behind both [execute] and [trace]: builds a fresh line
+   array for [input] and hands every cycle, in order, to [fire] together
+   with its index within its phase (V-step, R-op or readout). *)
+let simulate ?(params = Device.default_params) ?rng ?(faults = []) t ~input
+    ~fire =
   let rng = match rng with Some r -> r | None -> Rng.create 0x5eed in
   let c = t.circuit in
   let n = c.Circuit.arity in
   if input < 0 || input >= 1 lsl n then invalid_arg "Schedule.execute";
   let array = Line_array.create ~rng ~n:(n_cells t) ~params () in
-  let wf = Waveform.create () in
   (* initialization phase (excluded from the trace, as in the paper):
      legs start at 0 (HRS), R-op outputs at their preset, literal cells at
      the literal's value for this input row. *)
@@ -116,24 +113,18 @@ let execute ?(params = Device.default_params) ?rng ?(faults = []) t ~input () =
       | Leg_cell l -> Some (Literal.eval n c.Circuit.legs.(l).(s).Circuit.te input)
       | Rop_out_cell _ | Literal_cell _ -> None
     in
-    let obs = Line_array.vop_cycle array ~te ~be in
-    Waveform.record wf ~label:(Printf.sprintf "V-step %d" (s + 1)) obs
+    fire array s (Line_array.Vop { te; be })
   done;
   (* R-op phase: strictly sequential. *)
-  let fire_rop =
-    match c.Circuit.rop_kind with
-    | Rop.Nor -> Line_array.magic_nor array
-    | Rop.Nimp -> Line_array.magic_nimp array
-  in
   Array.iteri
     (fun i { Circuit.in1; in2 } ->
-      let obs =
-        fire_rop
-          ~in1:(cell_of_source t in1)
-          ~in2:(cell_of_source t in2)
-          ~out:t.cell_of_rop.(i)
-      in
-      Waveform.record wf ~label:(Printf.sprintf "R-op R%d" (i + 1)) obs)
+      let in1 = cell_of_source t in1
+      and in2 = cell_of_source t in2
+      and out = t.cell_of_rop.(i) in
+      fire array i
+        (match c.Circuit.rop_kind with
+         | Rop.Nor -> Line_array.Nor { in1; in2; out }
+         | Rop.Nimp -> Line_array.Nimp { in1; in2; out }))
     c.Circuit.rops;
   (* readout: one cycle per output. *)
   let outputs =
@@ -141,19 +132,29 @@ let execute ?(params = Device.default_params) ?rng ?(faults = []) t ~input () =
       (fun o src ->
         let cell = cell_of_source t src in
         let value, _current = Line_array.read array cell in
-        Waveform.record wf
-          ~label:(Printf.sprintf "read out%d" (o + 1))
-          (Line_array.read_cycle array cell);
+        fire array o (Line_array.Read cell);
         value)
       c.Circuit.outputs
   in
-  {
-    input;
-    outputs;
-    expected = None;
-    cycles = Waveform.length wf;
-    waveform = wf;
-  }
+  { input; outputs; cycles = steps + Circuit.n_rops c + Array.length outputs }
+
+let execute ?params ?rng ?faults t ~input () =
+  simulate ?params ?rng ?faults t ~input ~fire:(fun array _ cycle ->
+      Line_array.apply array cycle)
+
+let trace ?params ?rng ?faults t ~input () =
+  let wf = Waveform.create () in
+  let record array i cycle =
+    let label =
+      match (cycle : Line_array.cycle) with
+      | Vop _ -> Printf.sprintf "V-step %d" (i + 1)
+      | Nor _ | Nimp _ -> Printf.sprintf "R-op R%d" (i + 1)
+      | Read _ -> Printf.sprintf "read out%d" (i + 1)
+    in
+    Waveform.record wf ~label (Line_array.apply_observed array cycle)
+  in
+  let run = simulate ?params ?rng ?faults t ~input ~fire:record in
+  (run, wf)
 
 let word_of outputs =
   let w = ref 0 in

@@ -33,12 +33,11 @@ val roles : plan -> cell_role array
 type run = {
   input : int;  (** input row *)
   outputs : bool array;  (** read-out logical values *)
-  expected : int option;  (** spec word when verified against a spec *)
   cycles : int;  (** V-op + R-op + readout cycles *)
-  waveform : Mm_device.Waveform.t;
 }
 
-(** [execute plan ~input ()] runs one input row on a fresh line array.
+(** [execute plan ~input ()] runs one input row on a fresh line array,
+    applying each cycle's pulses without observing them.
     @param params device parameters (default ideal
            {!Mm_device.Device.default_params})
     @param rng randomness for variation (default a fixed seed)
@@ -52,6 +51,18 @@ val execute :
   input:int ->
   unit ->
   run
+
+(** [trace plan ~input ()] is {!execute} that also records every cycle —
+    each cell's resistance, electrode voltages and current, the rows of the
+    paper's Fig. 2. Same arguments, same pulses and rng draws, same run. *)
+val trace :
+  ?params:Mm_device.Device.params ->
+  ?rng:Mm_device.Rng.t ->
+  ?faults:(int * Mm_device.Device.fault) list ->
+  plan ->
+  input:int ->
+  unit ->
+  run * Mm_device.Waveform.t
 
 (** [verify plan spec] executes every input row with ideal devices and
     returns the list of failing rows (empty = hardware-validated, the

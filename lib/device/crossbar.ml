@@ -58,7 +58,7 @@ let set_state t ~row ~col b =
 let vop_cycle_row t ~row ~te ~be =
   check t ~row ~col:0;
   t.v_cycles <- t.v_cycles + 1;
-  ignore (Line_array.vop_cycle t.row_arrays.(row) ~te ~be)
+  Line_array.apply t.row_arrays.(row) (Line_array.Vop { te; be })
 
 (* One broadcast cycle: a single column TE pattern driven on the (shared)
    bit lines, applied to every listed row against that row's own BE rail.
@@ -77,7 +77,8 @@ let vop_cycle_rows t ~active ~te =
     active;
   t.v_cycles <- t.v_cycles + 1;
   List.iter
-    (fun (row, be) -> ignore (Line_array.vop_cycle t.row_arrays.(row) ~te ~be))
+    (fun (row, be) ->
+      Line_array.apply t.row_arrays.(row) (Line_array.Vop { te; be }))
     active
 
 let parallel_magic_nor t gates =
@@ -103,7 +104,7 @@ let parallel_magic_nor t gates =
   t.nors <- t.nors + List.length gates;
   List.iter
     (fun (row, in1, in2, out) ->
-      ignore (Line_array.magic_nor t.row_arrays.(row) ~in1 ~in2 ~out))
+      Line_array.apply t.row_arrays.(row) (Line_array.Nor { in1; in2; out }))
     gates
 
 (* Peripheral move: sense the source junction, then rewrite the destination

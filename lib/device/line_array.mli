@@ -36,31 +36,40 @@ val states : t -> bool array
     paper excludes from measurement). *)
 val set_states : t -> (int * bool) list -> unit
 
-(** [vop_cycle t ~te ~be] applies one parallel V-op cycle: cell [i] receives
-    a TE pulse according to [te i] ([None] = dummy cycle, TE mirrors BE so
-    the cell holds), and every cell sees the shared BE pulse [be]. *)
-val vop_cycle : t -> te:(int -> bool option) -> be:bool -> cell_obs array
+(** One cycle of the array.
+    - [Vop {te; be}]: one parallel V-op cycle. Cell [i] receives a TE pulse
+      according to [te i] ([None] = dummy cycle, TE mirrors BE so the cell
+      holds), and every cell sees the shared BE pulse [be].
+    - [Nor {in1; in2; out}]: one stateful MAGIC NOR. [out] (expected preset
+      to LRS) receives the divider voltage in RESET polarity; after the
+      output settles, the residual divider stress is applied to the inputs
+      — reproducing both correct MAGIC behaviour and its input-disturb
+      failure mode under variation. [in1 = in2] degenerates to the 2-device
+      MAGIC NOT; the output cell must be distinct from both inputs
+      (otherwise [Invalid_argument "Line_array.magic_nor"]).
+    - [Nimp {in1; in2; out}]: one stateful negated implication (the
+      Ta₂O₅/IMPLY-family R-op). [out] (expected preset to HRS) is
+      conditionally SET through the divider when [in1] is LRS and [in2] is
+      HRS. Residual stress lands on the inputs in SET polarity, giving the
+      analogous disturb failure mode under variation.
+    - [Read i]: a readout cycle of cell [i] (other cells idle); it changes
+      no state. *)
+type cycle =
+  | Vop of { te : int -> bool option; be : bool }
+  | Nor of { in1 : int; in2 : int; out : int }
+  | Nimp of { in1 : int; in2 : int; out : int }
+  | Read of int
 
-(** [magic_nor t ~in1 ~in2 ~out] executes one stateful NOR: [out] (expected
-    preset to LRS) receives the divider voltage in RESET polarity; after the
-    output settles, the residual divider stress is applied to the inputs —
-    reproducing both correct MAGIC behaviour and its input-disturb failure
-    mode under variation. [in1 = in2] degenerates to the 2-device MAGIC NOT;
-    the output cell must be distinct from both inputs. *)
-val magic_nor : t -> in1:int -> in2:int -> out:int -> cell_obs array
+(** [apply t cycle] applies the cycle's pulses and observes nothing: the
+    path of every simulation whose only result is the final cell states. *)
+val apply : t -> cycle -> unit
 
-(** [magic_nimp t ~in1 ~in2 ~out] executes one stateful negated implication
-    (the Ta₂O₅/IMPLY-family R-op): [out] (expected preset to HRS) is
-    conditionally SET through the divider when [in1] is LRS and [in2] is
-    HRS. Residual stress lands on the inputs in SET polarity, giving the
-    analogous disturb failure mode under variation. *)
-val magic_nimp : t -> in1:int -> in2:int -> out:int -> cell_obs array
+(** [apply_observed t cycle] applies exactly the pulses of [apply t cycle]
+    and returns every cell's observation of that cycle, for {!Waveform}. *)
+val apply_observed : t -> cycle -> cell_obs array
 
 (** [read t i] reads cell [i]: (logical value, |I| at v_read). *)
 val read : t -> int -> bool * float
-
-(** Observation array for a readout cycle of cell [i] (other cells idle). *)
-val read_cycle : t -> int -> cell_obs array
 
 (** Total switching events across all cells (endurance accounting). *)
 val total_switches : t -> int

@@ -332,6 +332,137 @@ let test_qmc_covers () =
   Alcotest.(check bool) "covers" true (Qmc.covers c 0b1100);
   Alcotest.(check bool) "not covers" false (Qmc.covers c 0b1110)
 
+(* Differential oracle: the pairwise QMC that compares every two
+   implicants of a level (O(L^2)), and the cover step of [Qmc.minimize] run
+   on its primes. The hashed merge must give the same prime list, in the
+   same order, hence the same cover. *)
+module Pairwise_qmc = struct
+  module S = Set.Make (struct
+    type t = int * int
+
+    let compare = Stdlib.compare
+  end)
+
+  let prime_implicants n minterms =
+    let primes = ref S.empty in
+    let current = ref (List.map (fun m -> (m, 0)) minterms) in
+    let continue = ref true in
+    while !continue do
+      let level = List.sort_uniq Stdlib.compare !current in
+      let merged = Hashtbl.create 64 in
+      let next = ref S.empty in
+      let arr = Array.of_list level in
+      let len = Array.length arr in
+      for i = 0 to len - 1 do
+        for j = i + 1 to len - 1 do
+          let v1, d1 = arr.(i) and v2, d2 = arr.(j) in
+          if d1 = d2 then begin
+            let diff = v1 lxor v2 in
+            if diff <> 0 && diff land (diff - 1) = 0 then begin
+              Hashtbl.replace merged arr.(i) ();
+              Hashtbl.replace merged arr.(j) ();
+              next := S.add (v1 land v2, d1 lor diff) !next
+            end
+          end
+        done
+      done;
+      List.iter
+        (fun imp -> if not (Hashtbl.mem merged imp) then primes := S.add imp !primes)
+        level;
+      if S.is_empty !next then continue := false else current := S.elements !next
+    done;
+    let full = (1 lsl n) - 1 in
+    List.map
+      (fun (v, dc) -> { Qmc.care = full land lnot dc; value = v })
+      (S.elements !primes)
+
+  let minimize tt =
+    let n = Tt.arity tt in
+    let minterms = List.filter (Tt.eval tt) (List.init (Tt.rows tt) Fun.id) in
+    match minterms with
+    | [] -> []
+    | _ when List.length minterms = Tt.rows tt -> [ { Qmc.care = 0; value = 0 } ]
+    | _ ->
+      let primes = Array.of_list (prime_implicants n minterms) in
+      let uncovered = Hashtbl.create 64 in
+      List.iter (fun m -> Hashtbl.replace uncovered m ()) minterms;
+      let chosen = ref [] in
+      let choose c =
+        chosen := c :: !chosen;
+        Hashtbl.iter
+          (fun m () -> if Qmc.covers c m then Hashtbl.remove uncovered m)
+          (Hashtbl.copy uncovered)
+      in
+      let essential =
+        List.filter_map
+          (fun m ->
+            match List.filter (fun c -> Qmc.covers c m) (Array.to_list primes) with
+            | [ _ ] ->
+              let idx = ref (-1) in
+              Array.iteri (fun i c -> if Qmc.covers c m then idx := i) primes;
+              Some !idx
+            | _ -> None)
+          minterms
+      in
+      List.iter
+        (fun i -> choose primes.(i))
+        (List.sort_uniq Stdlib.compare essential);
+      while Hashtbl.length uncovered > 0 do
+        let best = ref None in
+        Array.iter
+          (fun c ->
+            let gain =
+              Hashtbl.fold
+                (fun m () acc -> if Qmc.covers c m then acc + 1 else acc)
+                uncovered 0
+            in
+            if gain > 0 then
+              match !best with
+              | None -> best := Some (c, gain)
+              | Some (bc, bg) ->
+                if gain > bg || (gain = bg && Qmc.cube_size c < Qmc.cube_size bc)
+                then best := Some (c, gain))
+          primes;
+        match !best with
+        | Some (c, _) -> choose c
+        | None -> Hashtbl.reset uncovered
+      done;
+      List.rev !chosen
+end
+
+let cubes = Alcotest.(list (pair int int))
+let pairs = List.map (fun { Qmc.care; value } -> (care, value))
+
+let same_as_pairwise tt =
+  let n = Tt.arity tt in
+  let minterms = List.filter (Tt.eval tt) (List.init (Tt.rows tt) Fun.id) in
+  let name = Printf.sprintf "n=%d %s" n (Tt.to_string tt) in
+  Alcotest.check cubes (name ^ " primes")
+    (pairs (Pairwise_qmc.prime_implicants n minterms))
+    (pairs (Qmc.prime_implicants n minterms));
+  Alcotest.check cubes (name ^ " cover")
+    (pairs (Pairwise_qmc.minimize tt))
+    (pairs (Qmc.minimize tt))
+
+let test_qmc_exhaustive_small () =
+  for n = 1 to 3 do
+    for v = 0 to (1 lsl (1 lsl n)) - 1 do
+      same_as_pairwise (Tt.of_int n v)
+    done
+  done
+
+(* 204 seeded tables, 34 per arity n = 4..9, with ON-set densities from
+   sparse to dense so both short and deep merge ladders occur *)
+let test_qmc_random_wide () =
+  let rng = Random.State.make [| 0x9c3 |] in
+  for n = 4 to 9 do
+    for i = 0 to 33 do
+      let density = float_of_int (1 + (i mod 9)) /. 10.0 in
+      same_as_pairwise
+        (Tt.of_fun n (fun _ -> Random.State.float rng 1.0 < density))
+    done
+  done
+
 let () =
   Alcotest.run "boolfun"
     [
@@ -378,5 +509,9 @@ let () =
           qtest prop_qmc_exact;
           Alcotest.test_case "corner cases" `Quick test_qmc_corner_cases;
           Alcotest.test_case "covers" `Quick test_qmc_covers;
+          Alcotest.test_case "same as pairwise, n <= 3" `Quick
+            test_qmc_exhaustive_small;
+          Alcotest.test_case "same as pairwise, random n = 4..9" `Quick
+            test_qmc_random_wide;
         ] );
     ]

@@ -162,12 +162,12 @@ let test_vop_cycle_states () =
      shared BE = false: cell0 te=1 -> SET; cell1 None -> hold; cell2 te=0 ->
      hold (BE=0); cell3 te... *)
   let te = function 0 -> Some true | 1 -> None | 2 -> Some false | _ -> None in
-  ignore (Line_array.vop_cycle arr ~te ~be:false);
+  Line_array.apply arr (Line_array.Vop { te; be = false });
   Alcotest.(check (list bool)) "after cycle 1" [ true; false; true; true ]
     (Array.to_list (Line_array.states arr));
   (* shared BE pulse resets cells whose TE is low *)
   let te = function 0 -> Some true | _ -> Some false in
-  ignore (Line_array.vop_cycle arr ~te ~be:true);
+  Line_array.apply arr (Line_array.Vop { te; be = true });
   Alcotest.(check (list bool)) "after cycle 2" [ true; false; false; false ]
     (Array.to_list (Line_array.states arr))
 
@@ -175,7 +175,7 @@ let test_dummy_cycle_holds () =
   let arr = make_array 2 in
   Line_array.set_states arr [ (0, true); (1, false) ];
   (* all-dummy cycle with BE pulse: TE mirrors BE, nothing changes *)
-  ignore (Line_array.vop_cycle arr ~te:(fun _ -> None) ~be:true);
+  Line_array.apply arr (Line_array.Vop { te = (fun _ -> None); be = true });
   Alcotest.(check (list bool)) "unchanged" [ true; false ]
     (Array.to_list (Line_array.states arr))
 
@@ -184,7 +184,7 @@ let test_magic_nor_truth () =
     (fun (a, b) ->
       let arr = make_array 3 in
       Line_array.set_states arr [ (0, a); (1, b); (2, true) ];
-      ignore (Line_array.magic_nor arr ~in1:0 ~in2:1 ~out:2);
+      Line_array.apply arr (Line_array.Nor { in1 = 0; in2 = 1; out = 2 });
       let expect = not (a || b) in
       Alcotest.(check bool) (Printf.sprintf "nor(%b,%b)" a b) expect
         (Line_array.states arr).(2);
@@ -197,7 +197,7 @@ let test_magic_nor_bad_cells () =
   let arr = make_array 3 in
   Alcotest.check_raises "output overlaps input"
     (Invalid_argument "Line_array.magic_nor") (fun () ->
-      ignore (Line_array.magic_nor arr ~in1:0 ~in2:2 ~out:2))
+      Line_array.apply arr (Line_array.Nor { in1 = 0; in2 = 2; out = 2 }))
 
 let test_magic_not_degenerate () =
   (* in1 = in2 is the 2-device MAGIC NOT *)
@@ -205,7 +205,7 @@ let test_magic_not_degenerate () =
     (fun a ->
       let arr = make_array 2 in
       Line_array.set_states arr [ (0, a); (1, true) ];
-      ignore (Line_array.magic_nor arr ~in1:0 ~in2:0 ~out:1);
+      Line_array.apply arr (Line_array.Nor { in1 = 0; in2 = 0; out = 1 });
       Alcotest.(check bool) (Printf.sprintf "not(%b)" a) (not a)
         (Line_array.states arr).(1))
     [ false; true ]
@@ -222,7 +222,7 @@ let test_read () =
 let test_total_switches () =
   let arr = make_array 2 in
   Alcotest.(check int) "fresh" 0 (Line_array.total_switches arr);
-  ignore (Line_array.vop_cycle arr ~te:(fun _ -> Some true) ~be:false);
+  Line_array.apply arr (Line_array.Vop { te = (fun _ -> Some true); be = false });
   Alcotest.(check int) "both set" 2 (Line_array.total_switches arr)
 
 (* --- waveform --- *)
@@ -236,8 +236,10 @@ let test_waveform () =
   let arr = make_array 2 in
   let wf = Waveform.create () in
   Waveform.record wf ~label:"step 1"
-    (Line_array.vop_cycle arr ~te:(fun _ -> Some true) ~be:false);
-  Waveform.record wf ~label:"read" (Line_array.read_cycle arr 0);
+    (Line_array.apply_observed arr
+       (Line_array.Vop { te = (fun _ -> Some true); be = false }));
+  Waveform.record wf ~label:"read"
+    (Line_array.apply_observed arr (Line_array.Read 0));
   Alcotest.(check int) "rows" 2 (Waveform.length wf);
   (match Waveform.final_states ~params wf with
    | Some states ->

@@ -9,6 +9,7 @@ module Cache = Mm_engine.Cache
 module Arith = Mm_boolfun.Arith
 module Spec = Mm_boolfun.Spec
 module Tt = Mm_boolfun.Truth_table
+module Literal = Mm_boolfun.Literal
 module C = Mm_core.Circuit
 module Schedule = Mm_core.Schedule
 
@@ -36,12 +37,13 @@ let stitched spec = (Stitch.compile (cfg ()) spec).Stitch.stitched.Stitch.circui
 let check_windows spec c =
   let windows = Window.enumerate c in
   let rows = 1 lsl c.C.arity in
+  let values = C.rop_values c in
   List.iter
     (fun (w : Window.t) ->
       let fn = Extract.table c w in
       let k = Array.length fn.Extract.live_in in
-      let live_tts = Array.map (C.source_value c) fn.Extract.live_in in
-      let out_tt = C.rop_value c w.Window.live_out in
+      let live_tts = Array.map (C.source_value c values) fn.Extract.live_in in
+      let out_tt = values.(w.Window.live_out) in
       for q = 0 to rows - 1 do
         let wrow = ref 0 in
         Array.iteri
@@ -105,6 +107,125 @@ let test_sweep_dce_preserve () =
         true
         (merged >= 0 && removed >= 0))
     specs
+
+(* Differential oracle for [Resyn.sweep_merge]: the same sweep, but
+   re-evaluating the whole R-op chain for every index it looks up (the
+   quadratic pre-image of the one-pass sweep). Both must return the same
+   circuit and merge count. *)
+let oracle_sweep_merge (c : C.t) =
+  let n = c.C.arity in
+  let n_r = C.n_rops c in
+  if n > 14 || n_r = 0 then (c, 0)
+  else begin
+    let map = Hashtbl.create (4 * n_r) in
+    let remember tt s =
+      let k = Tt.to_string tt in
+      if not (Hashtbl.mem map k) then Hashtbl.add map k s
+    in
+    List.iter
+      (fun l -> remember (Literal.table n l) (C.From_literal l))
+      (Literal.all n);
+    Array.iteri
+      (fun l ops ->
+        if Array.length ops > 0 then
+          remember
+            (C.leg_value c ~leg:l ~step:(Array.length ops - 1))
+            (C.From_leg l))
+      c.C.legs;
+    let subst = Array.make n_r None in
+    let resolve (s : C.source) =
+      match s with
+      | C.From_rop r -> (match subst.(r) with Some s' -> s' | None -> s)
+      | s -> s
+    in
+    let merged = ref 0 in
+    let rops' = Array.make n_r c.C.rops.(0) in
+    for i = 0 to n_r - 1 do
+      let r = c.C.rops.(i) in
+      rops'.(i) <- { C.in1 = resolve r.C.in1; in2 = resolve r.C.in2 };
+      let k = Tt.to_string (C.rop_values c).(i) in
+      match Hashtbl.find_opt map k with
+      | Some s ->
+        subst.(i) <- Some s;
+        incr merged
+      | None -> Hashtbl.add map k (C.From_rop i)
+    done;
+    if !merged = 0 then (c, 0)
+    else
+      ( C.make ~arity:n ~rop_kind:c.C.rop_kind ~legs:c.C.legs ~rops:rops'
+          ~outputs:(Array.map resolve c.C.outputs) (),
+        !merged )
+  end
+
+(* A seeded random circuit: [legs] V-legs of [steps] random V-ops on a
+   shared BE rail, then a chain of random R-ops with planted duplicates —
+   exact copies and commuted copies of earlier R-ops, and double negations
+   of a leg (NOR(NOR(L, L), same) = L) — that the sweep must redirect. *)
+let random_chain rng ~n ~legs ~steps ~rops =
+  let lits = Array.of_list (Literal.all n) in
+  let lit () = lits.(Random.State.int rng (Array.length lits)) in
+  let rail = Array.init steps (fun _ -> lit ()) in
+  let legs =
+    Array.init legs (fun _ ->
+        Array.init steps (fun s -> { C.te = lit (); be = rail.(s) }))
+  in
+  let n_legs = Array.length legs in
+  let acc = ref [] and count = ref 0 in
+  let push in1 in2 =
+    acc := { C.in1; in2 } :: !acc;
+    incr count
+  in
+  let source () =
+    match Random.State.int rng 3 with
+    | 0 -> C.From_literal (lit ())
+    | 1 -> C.From_leg (Random.State.int rng n_legs)
+    | _ when !count = 0 -> C.From_leg (Random.State.int rng n_legs)
+    | _ -> C.From_rop (Random.State.int rng !count)
+  in
+  while !count < rops do
+    match (Random.State.int rng 6, List.rev !acc) with
+    | 0, (_ :: _ as earlier) ->
+      let r = List.nth earlier (Random.State.int rng !count) in
+      push r.C.in1 r.C.in2
+    | 1, (_ :: _ as earlier) ->
+      let r = List.nth earlier (Random.State.int rng !count) in
+      push r.C.in2 r.C.in1
+    | 2, _ when !count + 2 <= rops ->
+      let l = C.From_leg (Random.State.int rng n_legs) in
+      push l l;
+      let inner = C.From_rop (!count - 1) in
+      push inner inner
+    | _ -> push (source ()) (source ())
+  done;
+  let rops = Array.of_list (List.rev !acc) in
+  let outputs =
+    Array.init 3 (fun o -> C.From_rop (Array.length rops - 1 - (o * 2)))
+  in
+  C.make ~arity:n ~legs ~rops ~outputs ()
+
+let check_sweep_matches_oracle name c =
+  let c1, merged = Resyn.sweep_merge c in
+  let c2, merged2 = oracle_sweep_merge c in
+  Alcotest.(check int) (name ^ " merge count") merged2 merged;
+  Alcotest.(check bool) (name ^ " same circuit") true (c1 = c2);
+  merged
+
+let test_sweep_matches_oracle () =
+  List.iter
+    (fun spec ->
+      ignore (check_sweep_matches_oracle (Spec.name spec) (stitched spec)))
+    [ Arith.adder_bits 2; Arith.adder_bits 3 ];
+  let rng = Random.State.make [| 0x5eeb |] in
+  let total = ref 0 in
+  for i = 1 to 40 do
+    let n = 3 + (i mod 4) in
+    let c =
+      random_chain rng ~n ~legs:(1 + (i mod 5)) ~steps:(1 + (i mod 3))
+        ~rops:(8 + (i mod 24))
+    in
+    total := !total + check_sweep_matches_oracle (Printf.sprintf "chain %d" i) c
+  done;
+  Alcotest.(check bool) "planted duplicates were merged" true (!total > 0)
 
 (* compact_legs reschedules every leg onto a shortest common supersequence
    of the BE rails: the result must still realize the spec, must still
@@ -264,6 +385,8 @@ let () =
           Alcotest.test_case "sweep + dce preserve" `Slow
             test_sweep_dce_preserve;
           Alcotest.test_case "leg compaction" `Slow test_compact_legs;
+          Alcotest.test_case "sweep = per-index oracle" `Slow
+            test_sweep_matches_oracle;
         ] );
       ( "optimize",
         [

@@ -29,6 +29,23 @@ let xor2_spec =
       Mm_boolfun.Truth_table.input_bit 2 row 1
       <> Mm_boolfun.Truth_table.input_bit 2 row 2)
 
+let nimp_circuit () =
+  C.make ~arity:2 ~rop_kind:Rop.Nimp ~legs:[||]
+    ~rops:
+      [|
+        {
+          C.in1 = C.From_literal (Literal.Pos 1);
+          in2 = C.From_literal (Literal.Pos 2);
+        };
+      |]
+    ~outputs:[| C.From_rop 0 |]
+    ()
+
+let nimp_spec =
+  Spec.of_fun ~name:"nimp" ~arity:2 ~outputs:1 (fun ~row ~output:_ ->
+      Mm_boolfun.Truth_table.input_bit 2 row 1
+      && not (Mm_boolfun.Truth_table.input_bit 2 row 2))
+
 let test_plan_roles () =
   let p = Sch.plan (xor2_circuit ()) in
   Alcotest.(check int) "cells" 3 (Sch.n_cells p);
@@ -75,31 +92,15 @@ let test_fig2_scenario () =
      out1 = 0, out2 = 1 after 9 cycles on 10 cells *)
   let p = Sch.plan (Reference.gf4_mul_circuit ()) in
   Alcotest.(check int) "10 cells" 10 (Sch.n_cells p);
-  let r = Sch.execute p ~input:0b1011 () in
+  let r, waveform = Sch.trace p ~input:0b1011 () in
   Alcotest.(check bool) "out1 = 0" false r.Sch.outputs.(0);
   Alcotest.(check bool) "out2 = 1" true r.Sch.outputs.(1);
   Alcotest.(check int) "9 cycles" 9 r.Sch.cycles;
-  Alcotest.(check int) "waveform rows" 9 (Mm_device.Waveform.length r.Sch.waveform)
+  Alcotest.(check int) "waveform rows" 9 (Mm_device.Waveform.length waveform)
 
 let test_nimp_schedulable () =
   (* NIMP(x1, x2) = x1 ∧ ¬x2 executed electrically via the IMPLY-style op *)
-  let c =
-    C.make ~arity:2 ~rop_kind:Rop.Nimp ~legs:[||]
-      ~rops:
-        [|
-          {
-            C.in1 = C.From_literal (Literal.Pos 1);
-            in2 = C.From_literal (Literal.Pos 2);
-          };
-        |]
-      ~outputs:[| C.From_rop 0 |]
-      ()
-  in
-  let spec =
-    Spec.of_fun ~name:"nimp" ~arity:2 ~outputs:1 (fun ~row ~output:_ ->
-        Mm_boolfun.Truth_table.input_bit 2 row 1
-        && not (Mm_boolfun.Truth_table.input_bit 2 row 2))
-  in
+  let c = nimp_circuit () and spec = nimp_spec in
   (match C.realizes c spec with
    | Ok () -> ()
    | Error row -> Alcotest.failf "logic model wrong on row %d" row);
@@ -149,7 +150,68 @@ let test_error_rate_deterministic () =
   let e2 = Sch.error_rate p xor2_spec ~variation:Variation.moderate ~trials:5 ~seed:7 in
   Alcotest.(check (float 0.0)) "same seed same estimate" e1 e2
 
+(* [execute] applies pulses only and [trace] also observes them; both run
+   the same row simulator, so on every row they must read back the same
+   outputs — under nominal devices, under variation (same seeded rng) and
+   with an injected fault. *)
+let test_execute_matches_trace () =
+  let harsh = Variation.apply Variation.harsh Mm_device.Device.default_params in
+  List.iter
+    (fun (name, c) ->
+      let p = Sch.plan c in
+      (* cells are legs first, then R-op outputs: break the first R-op *)
+      let faults =
+        [ (C.n_legs (Sch.circuit p), Mm_device.Device.Stuck_at false) ]
+      in
+      for input = 0 to (1 lsl c.C.arity) - 1 do
+        let same what (a : Sch.run) ((b : Sch.run), wf) =
+          let where = Printf.sprintf "%s row %d %s" name input what in
+          Alcotest.(check (array bool))
+            (where ^ " outputs") a.Sch.outputs b.Sch.outputs;
+          Alcotest.(check int) (where ^ " cycles") a.Sch.cycles b.Sch.cycles;
+          Alcotest.(check int) (where ^ " recorded") a.Sch.cycles
+            (Mm_device.Waveform.length wf)
+        in
+        same "nominal" (Sch.execute p ~input ()) (Sch.trace p ~input ());
+        let seed = 1000 + input in
+        same "variation"
+          (Sch.execute ~params:harsh ~rng:(Rng.create seed) p ~input ())
+          (Sch.trace ~params:harsh ~rng:(Rng.create seed) p ~input ());
+        same "stuck-at"
+          (Sch.execute ~faults p ~input ())
+          (Sch.trace ~faults p ~input ())
+      done)
+    [
+      ("gf4 mul", Reference.gf4_mul_circuit ());
+      ("xor2", xor2_circuit ());
+      ("nimp", nimp_circuit ());
+      ("r-only maj3", Baseline.nor_network (Arith.majority 3));
+    ]
+
+(* Monte-Carlo estimates pinned to the values the simulator gave before its
+   pulse-only path existed: the electrical model and every rng draw are
+   unchanged, so these must match exactly. *)
+let test_error_rate_pinned () =
+  let gf = Sch.plan (Reference.gf4_mul_circuit ()) in
+  let v = { Variation.label = "pinned"; sigma_d2d = 0.3; sigma_c2c = 0.3 } in
+  Alcotest.(check (float 0.0)) "gf4 mul" 0.421875
+    (Sch.error_rate gf (Gf.mul_spec 2) ~variation:v ~trials:4 ~seed:2024);
+  let maj = Arith.majority 3 in
+  Alcotest.(check (float 0.0)) "r-only maj3" (10. /. 24.)
+    (Sch.error_rate (Sch.plan (Baseline.nor_network maj)) maj
+       ~variation:Variation.harsh ~trials:3 ~seed:5);
+  let v = { Variation.label = "pinned"; sigma_d2d = 0.6; sigma_c2c = 0.6 } in
+  Alcotest.(check (float 0.0)) "nimp" 0.078125
+    (Sch.error_rate (Sch.plan (nimp_circuit ())) nimp_spec ~variation:v
+       ~trials:16 ~seed:9)
+
 (* --- reliability study --- *)
+
+let test_max_switches_pinned () =
+  Alcotest.(check int) "gf4 mul" 9
+    (Reliability.max_switches_per_run (Reference.gf4_mul_circuit ()));
+  Alcotest.(check int) "r-only maj3" 4
+    (Reliability.max_switches_per_run (Baseline.nor_network (Arith.majority 3)))
 
 let test_rop_depth () =
   Alcotest.(check int) "gf ref depth 2" 2
@@ -195,10 +257,13 @@ let () =
           Alcotest.test_case "Fig. 2 scenario" `Quick test_fig2_scenario;
           Alcotest.test_case "error rates" `Slow test_error_rates;
           Alcotest.test_case "deterministic" `Quick test_error_rate_deterministic;
+          Alcotest.test_case "execute = trace" `Quick test_execute_matches_trace;
+          Alcotest.test_case "error rate pinned" `Quick test_error_rate_pinned;
         ] );
       ( "reliability",
         [
           Alcotest.test_case "rop depth" `Quick test_rop_depth;
           Alcotest.test_case "study" `Slow test_reliability_study;
+          Alcotest.test_case "max switches pinned" `Quick test_max_switches_pinned;
         ] );
     ]
