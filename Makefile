@@ -146,7 +146,8 @@ smoke-map: build
 # cross-check the outputs against the 1D line-array backend row by row —
 # `map --target xbar` exits non-zero unless both the simulator validation
 # and the backend diff pass, and the grep makes the full row counts an
-# explicit gate rather than trusting the exit code alone.
+# explicit gate rather than trusting the exit code alone. Resynthesis is a
+# line-target pass: asking for it on the crossbar must be a usage error.
 smoke-xbar: build
 	@set -e; \
 	out=$$(dune exec bin/mmsynth.exe -- map --workload adder2 --effort 1 \
@@ -155,8 +156,13 @@ smoke-xbar: build
 	  || { echo "smoke-xbar: simulator validation failed"; exit 1; }; \
 	echo "$$out" | grep -q "cross-check vs 1D backend: 32/32 rows agree" \
 	  || { echo "smoke-xbar: backend diff failed"; exit 1; }; \
+	if err=$$($(MMSYNTH) map --workload adder2 --effort 1 \
+	  --cache $(XBAR_CACHE) --target xbar --resyn 2>&1); then \
+	  echo "smoke-xbar: --target xbar --resyn was accepted"; exit 1; fi; \
+	echo "$$err" | grep -q -- "--resyn applies to --target line" \
+	  || { echo "smoke-xbar: no usage message for --target xbar --resyn"; exit 1; }; \
 	rm -f $(XBAR_CACHE); \
-	echo "smoke-xbar: OK (crossbar schedule verified and matches the 1D backend on all rows)"
+	echo "smoke-xbar: OK (crossbar schedule verified and matches the 1D backend on all rows; --resyn refused)"
 
 # Post-mapping resynthesis must never regress: map the same workload with
 # and without --resyn and require the resyn'd step total to be <= the plain

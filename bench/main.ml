@@ -769,11 +769,10 @@ let xbar_bench ?(budget = 0.5) ?(rows = 16) ?(ports = 4) () =
 (* Resyn: windowed SAT-sweeping resynthesis over stitched schedules    *)
 (* ------------------------------------------------------------------ *)
 
-let resyn_bench ?(budget = 0.5) ?(passes = 4) ?(rows = 16) ?(ports = 4) () =
+let resyn_bench ?(budget = 0.5) ?(passes = 4) () =
   let module Engine = Mm_engine.Engine in
   let module Cache = Mm_engine.Cache in
   let module Stitch = Mm_map.Stitch in
-  let module Xstitch = Mm_map.Xstitch in
   let module Resyn = Mm_resyn.Resyn in
   section "Resyn: post-mapping resynthesis of stitched schedules";
   Printf.printf
@@ -782,13 +781,12 @@ let resyn_bench ?(budget = 0.5) ?(passes = 4) ?(rows = 16) ?(ports = 4) () =
      an earlier signal, every legal window is re-synthesized exactly\n\
      (atlas-first) and spliced only when strictly cheaper AND re-verified,\n\
      and the shared-BE-rail schedule is compacted to the shortest common\n\
-     supersequence of the legs' real-op rails. The crossbar schedule is\n\
-     re-optimized at cover level (producer-into-consumer merges). The\n\
-     gate: mapped+resyn must never exceed the Shannon heuristic.\n\n%!";
+     supersequence of the legs' real-op rails. The gate: mapped+resyn\n\
+     must never exceed the Shannon heuristic.\n\n%!";
   let t =
     Table.create
       [ "function"; "n"; "map"; "resyn"; "heur"; "win a/t"; "merged"; "dead";
-        "V saved"; "xbar cyc"; "time [s]"; "verified" ]
+        "V saved"; "time [s]"; "verified" ]
   in
   let cache = Cache.create () in
   let cfg =
@@ -805,16 +803,9 @@ let resyn_bench ?(budget = 0.5) ?(passes = 4) ?(rows = 16) ?(ports = 4) () =
     let plan = Schedule.plan c in
     let failures = Schedule.verify plan spec in
     let hc, _ = Heuristic.synthesize ~timeout_per_block:budget spec in
-    let xr = Xstitch.compile ~rows ~ports cfg spec in
-    let x = Resyn.optimize_xbar ~rows ~ports cfg spec xr in
-    let xs = x.Resyn.xstats in
     let dt = Unix.gettimeofday () -. t0 in
     let gate = C.n_steps c <= C.n_steps hc in
-    let ok =
-      failures = [] && x.Resyn.result.Xstitch.verified
-      && s.Resyn.steps_after <= s.Resyn.steps_before
-      && xs.Resyn.cycles_after <= xs.Resyn.cycles_before
-    in
+    let ok = failures = [] && s.Resyn.steps_after <= s.Resyn.steps_before in
     incr total;
     if gate && ok then incr wins;
     Table.add_row t
@@ -828,7 +819,6 @@ let resyn_bench ?(budget = 0.5) ?(passes = 4) ?(rows = 16) ?(ports = 4) () =
         string_of_int s.Resyn.sweep_merged;
         string_of_int s.Resyn.dce_removed;
         string_of_int s.Resyn.v_steps_saved;
-        Printf.sprintf "%d->%d" xs.Resyn.cycles_before xs.Resyn.cycles_after;
         Printf.sprintf "%.1f" dt;
         (if ok then "yes" else "NO");
       ];
@@ -840,16 +830,12 @@ let resyn_bench ?(budget = 0.5) ?(passes = 4) ?(rows = 16) ?(ports = 4) () =
         \      \"trivial_hits\": %d, \"atlas_hits\": %d, \"solver_hits\": %d,\n\
         \      \"sweep_merged\": %d, \"dce_removed\": %d, \"v_steps_saved\": %d,\n\
         \      \"passes\": %d, \"fixed_point\": %b,\n\
-        \      \"xbar_cycles_before\": %d, \"xbar_cycles_after\": %d,\n\
-        \      \"xbar_merges_accepted\": %d,\n\
         \      \"mapped_le_heuristic\": %b, \"time_s\": %.2f, \"verified\": %b }"
         (Spec.name spec) (Spec.arity spec) s.Resyn.steps_before
         s.Resyn.steps_after (C.n_steps hc) s.Resyn.windows_attempted
         s.Resyn.windows_accepted s.Resyn.trivial_hits s.Resyn.atlas_hits
         s.Resyn.solver_hits s.Resyn.sweep_merged s.Resyn.dce_removed
-        s.Resyn.v_steps_saved s.Resyn.passes s.Resyn.fixed_point
-        xs.Resyn.cycles_before xs.Resyn.cycles_after xs.Resyn.merges_accepted
-        gate dt ok
+        s.Resyn.v_steps_saved s.Resyn.passes s.Resyn.fixed_point gate dt ok
       :: !results
   in
   case (Arith.adder_bits 2);
@@ -871,8 +857,6 @@ let resyn_bench ?(budget = 0.5) ?(passes = 4) ?(rows = 16) ?(ports = 4) () =
       \  \"host_cores\": %d,\n\
       \  \"probe_budget_s\": %.2f,\n\
       \  \"resyn_passes\": %d,\n\
-      \  \"rows\": %d,\n\
-      \  \"ports\": %d,\n\
       \  \"cost_metric\": \"V-steps per leg + R-ops (total schedule \
        steps)\",\n\
       \  \"mapped_le_heuristic\": %d,\n\
@@ -880,7 +864,7 @@ let resyn_bench ?(budget = 0.5) ?(passes = 4) ?(rows = 16) ?(ports = 4) () =
       \  \"results\": [\n%s\n  ]\n\
        }"
       (Domain.recommended_domain_count ())
-      budget passes rows ports !wins !total
+      budget passes !wins !total
       (String.concat ",\n" (List.rev !results))
   in
   let oc = open_out "BENCH_resyn.json" in

@@ -1494,29 +1494,25 @@ let map_cmd =
            ~doc:"Windowed SAT-sweeping resynthesis over the stitched \
                  result: re-synthesize fanout-free windows of the committed \
                  schedule exactly (atlas-first) and splice in \
-                 strictly-cheaper verified replacements, to a fixed point. \
-                 On the xbar target, merge single-consumer blocks and keep \
-                 a rebuilt schedule only when the simulator-verified cycle \
-                 count strictly improves.")
+                 strictly-cheaper verified replacements, to a fixed point \
+                 (line target only).")
   in
   let resyn_passes_arg =
     Arg.(value & opt int 4 & info [ "resyn-passes" ] ~docv:"N"
            ~doc:"Cleanup/window-sweep alternations before giving up on a \
                  fixed point (--resyn).")
   in
-  let resyn_width_arg =
-    Arg.(value & opt int 6 & info [ "resyn-width" ] ~docv:"W"
-           ~doc:"Largest window re-synthesized, in member R-ops (--resyn).")
-  in
   let run exprs pla tables workload arity name k cut_limit passes cache_file
       cache_shards atlas effort stats json dot target rows ports no_polish
-      resyn resyn_passes resyn_width =
+      resyn resyn_passes =
     match spec_of_inputs name exprs arity pla tables workload with
     | Error msg -> `Error (false, msg)
     | Ok spec ->
       if k < 2 || k > 4 then `Error (false, "--k must be 2..4")
       else if effort < 1 || effort > 3 then
         `Error (false, "--effort must be 1..3")
+      else if resyn && target = `Xbar then
+        `Error (true, "--resyn applies to --target line")
       else begin
         let timeout_per_call, max_rops = effort_budget effort in
         let cache = open_store ?cache_file ?shards:cache_shards ?atlas () in
@@ -1581,17 +1577,7 @@ let map_cmd =
             with
             | exception (Invalid_argument msg | Failure msg) ->
               `Error (false, msg)
-            | xr0 ->
-              let xres =
-                if resyn then
-                  Some
-                    (Resyn.optimize_xbar ~max_passes:resyn_passes ~rows ~ports
-                       ~polish:(not no_polish) cfg spec xr0)
-                else None
-              in
-              let xr =
-                match xres with Some x -> x.Resyn.result | None -> xr0
-              in
+            | xr ->
               Option.iter Cache.flush cache;
               let xst = xr.Xstitch.stitch in
               let sc = xr.Xstitch.sched in
@@ -1615,16 +1601,6 @@ let map_cmd =
                  polish -%d\n\n"
                 xr.Xstitch.cycles sc.Xsched.v_cycles sc.Xsched.r_cycles
                 sc.Xsched.t_cycles xr.Xstitch.readout sc.Xsched.polish_gain;
-              (match xres with
-               | None -> ()
-               | Some x ->
-                 let s = x.Resyn.xstats in
-                 Printf.printf
-                   "resyn: %d -> %d cycles (%d merge candidate(s), %d \
-                    absorbed, %d rebuild(s) rejected, %d pass(es))\n\n"
-                   s.Resyn.cycles_before s.Resyn.cycles_after
-                   s.Resyn.merges_attempted s.Resyn.merges_accepted
-                   s.Resyn.rebuilds_rejected s.Resyn.xpasses);
               if stats then print_blocks xst.Stitch.stitched.Stitch.placed;
               (* zero-trust: replay the schedule on the crossbar simulator
                  for every input row *)
@@ -1718,23 +1694,6 @@ let map_cmd =
                             ("transfers", Json.Int xr.Xstitch.transfers);
                             ("readout", Json.Int xr.Xstitch.readout);
                             ("polish_gain", Json.Int sc.Xsched.polish_gain);
-                            ( "resyn",
-                              match xres with
-                              | None -> Json.Null
-                              | Some x ->
-                                let s = x.Resyn.xstats in
-                                Json.Obj
-                                  [ ("passes", Json.Int s.Resyn.xpasses);
-                                    ( "merges_attempted",
-                                      Json.Int s.Resyn.merges_attempted );
-                                    ( "merges_accepted",
-                                      Json.Int s.Resyn.merges_accepted );
-                                    ( "rebuilds_rejected",
-                                      Json.Int s.Resyn.rebuilds_rejected );
-                                    ( "cycles_before",
-                                      Json.Int s.Resyn.cycles_before );
-                                    ( "cycles_after",
-                                      Json.Int s.Resyn.cycles_after ) ] );
                             ("verified", Json.Bool (failures = []));
                             ( "agrees_with_line",
                               Json.Bool (!disagree = []) );
@@ -1758,8 +1717,8 @@ let map_cmd =
             if not resyn then Ok None
             else
               match
-                Resyn.optimize ~max_width:resyn_width
-                  ~max_passes:resyn_passes cfg spec st.Stitch.circuit
+                Resyn.optimize ~max_passes:resyn_passes cfg spec
+                  st.Stitch.circuit
               with
               | t -> Ok (Some t)
               | exception Invalid_argument msg -> Error msg
@@ -1842,8 +1801,7 @@ let map_cmd =
         (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
         $ name_t $ k_arg $ cut_limit $ passes $ cache_file $ cache_shards_arg
         $ atlas_arg $ effort $ stats_flag $ json_flag $ dot_out $ target_arg
-        $ rows_arg $ ports_arg $ no_polish $ resyn_flag $ resyn_passes_arg
-        $ resyn_width_arg))
+        $ rows_arg $ ports_arg $ no_polish $ resyn_flag $ resyn_passes_arg))
 
 (* ---- resyn: re-optimize a previously emitted map artifact -------------- *)
 
@@ -1871,17 +1829,12 @@ let resyn_cmd =
            ~doc:"Cleanup/window-sweep alternations before giving up on a \
                  fixed point.")
   in
-  let width_arg =
-    Arg.(value & opt int 6 & info [ "resyn-width" ] ~docv:"W"
-           ~doc:"Largest window re-synthesized, in member R-ops.")
-  in
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE"
            ~doc:"Write the re-optimized artifact JSON to FILE (same shape \
                  as $(b,map --json), so it can be re-fed to this command).")
   in
-  let run artifact cache_file cache_shards atlas effort passes width json out
-      =
+  let run artifact cache_file cache_shards atlas effort passes json out =
     if effort < 1 || effort > 3 then `Error (false, "--effort must be 1..3")
     else begin
       let text =
@@ -1915,10 +1868,7 @@ let resyn_cmd =
                 Engine.config ~timeout_per_call ?max_rops ~domains:1
                   ~taps:E.Final_only ?cache ()
               in
-              match
-                Resyn.optimize ~max_width:width ~max_passes:passes cfg spec
-                  c0
-              with
+              match Resyn.optimize ~max_passes:passes cfg spec c0 with
               | exception Invalid_argument msg -> `Error (false, msg)
               | exception Failure msg -> `Error (false, msg)
               | t ->
@@ -1961,7 +1911,7 @@ let resyn_cmd =
     Term.(
       ret
         (const run $ artifact_arg $ cache_file $ cache_shards_arg
-        $ atlas_arg $ effort $ passes_arg $ width_arg $ json_flag $ out_arg))
+        $ atlas_arg $ effort $ passes_arg $ json_flag $ out_arg))
 
 (* ---- cache info / gc --------------------------------------------------- *)
 

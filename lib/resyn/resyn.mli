@@ -23,19 +23,15 @@
     cleanup and window sweeps to a fixed point or a pass cap; steps are
     monotonically non-increasing throughout.
 
-    The crossbar variant works at cover level: the cycle-accurate schedule
-    is a function of the block cover, so {!optimize_xbar} merges
-    single-consumer producer blocks into their consumers (re-synthesizing
-    the composed ≤4-support function through {!Mm_map.Blocklib}), rebuilds
-    placement + schedule, replays it on the device simulator
-    ({!Mm_map.Xstitch.verify}), and accepts only verified schedules with
-    strictly fewer cycles. *)
+    There is no crossbar pass: the crossbar schedule is a function of the
+    block cover, and the mapper's area-flow cover already prices the merged
+    cuts a cover-level pass would try ({!optimize_xbar} is an identity kept
+    for an external caller). *)
 
 module Circuit = Mm_core.Circuit
 module Tt = Mm_boolfun.Truth_table
 module Spec = Mm_boolfun.Spec
 module Engine = Mm_engine.Engine
-module Stitch = Mm_map.Stitch
 module Xstitch = Mm_map.Xstitch
 
 (** {2 Cleanup sweeps (1D)} *)
@@ -81,53 +77,30 @@ type stats = {
 
 type t = {
   circuit : Circuit.t;  (** re-verified against the spec on all rows *)
-  splices : Rewrite.candidate list;  (** chronological; provenance per splice *)
   stats : stats;
 }
 
 (** [optimize cfg spec circuit] — [circuit] must realize [spec] (raises
-    [Invalid_argument] otherwise). Defaults: [max_width = 6],
-    [max_live = 6], [max_passes = 4]. The probe budget derives from
-    [cfg] with [max_rops] clamped per window. *)
-val optimize :
-  ?max_width:int ->
-  ?max_live:int ->
-  ?max_passes:int ->
-  Engine.config ->
-  Spec.t ->
-  Circuit.t ->
-  t
+    [Invalid_argument] otherwise). [max_passes] (default 4) caps the
+    cleanup/window-sweep alternations; windows are {!Window.enumerate}'s.
+    The probe budget derives from [cfg] with [max_rops] clamped per
+    window. *)
+val optimize : ?max_passes:int -> Engine.config -> Spec.t -> Circuit.t -> t
 
-(** {2 Crossbar driver (cover level)} *)
+(** {2 Crossbar shim} *)
 
-type xstats = {
-  xpasses : int;
-  merges_attempted : int;
-  merges_accepted : int;  (** producer blocks absorbed into consumers *)
-  rebuilds_rejected : int;
-      (** rebuilt schedules discarded (verification failed or cycles did
-          not strictly improve) *)
-  cycles_before : int;
-  cycles_after : int;
-  xwall_s : float;
-}
+type xstats = { merges_attempted : int; merges_accepted : int }
+type xresult = { result : Xstitch.result; xstats : xstats }
 
-type xresult = {
-  result : Xstitch.result;  (** verified; cycles ≤ the input schedule's *)
-  xstats : xstats;
-}
-
-(** [optimize_xbar cfg spec r] never regresses: the input schedule is
-    returned unchanged unless a rebuilt one verifies with strictly fewer
-    cycles. [rows]/[ports]/[polish] must match the original compile;
-    [v_weight] (default 2.0, the crossbar mapping default) prices the
-    merge pre-filter. *)
+(** [optimize_xbar cfg spec r] returns [r] unchanged, with both counters 0.
+    It exists only because the frozen repository benchmark
+    ([perfbench/xbar_warm.ml]) still calls it and reads these fields; the
+    cover-merge search it used to run never found a merge with a positive
+    gain. The next benchmark change deletes this shim together with that
+    call. *)
 val optimize_xbar :
-  ?max_passes:int ->
   ?rows:int ->
   ?ports:int ->
-  ?polish:bool ->
-  ?v_weight:float ->
   Engine.config ->
   Spec.t ->
   Xstitch.result ->

@@ -6,17 +6,6 @@ module Engine = Mm_engine.Engine
 
 type origin = Trivial | Atlas | Solver
 
-type candidate = {
-  window : Window.t;
-  fn : Extract.fn;
-  old_rops : int;
-  new_rops : int;
-  origin : origin;
-  exact : bool;
-  optimal : bool;
-  class_rep : Tt.t option;
-}
-
 type repl =
   | R_const of bool
   | R_wire of bool
@@ -141,32 +130,19 @@ let splice (c : Circuit.t) (w : Window.t) (live_in : Circuit.source array)
     !n_fresh )
 
 let attempt ~probe (c : Circuit.t) (w : Window.t) :
-    (Circuit.t * candidate) option =
+    (Circuit.t * origin) option =
   let fn = Extract.table c w in
   let width = Window.width w in
-  let finish repl origin exact optimal class_rep =
+  let finish repl origin =
     let c', n_new = splice c w fn.Extract.live_in repl in
-    if n_new < width then
-      Some
-        ( c',
-          {
-            window = w;
-            fn;
-            old_rops = width;
-            new_rops = n_new;
-            origin;
-            exact;
-            optimal;
-            class_rep;
-          } )
-    else None
+    if n_new < width then Some (c', origin) else None
   in
   let m = Tt.arity fn.Extract.tt in
   if Tt.is_const fn.Extract.tt then
-    finish (R_const (Tt.eval fn.Extract.tt 0)) Trivial true true None
+    finish (R_const (Tt.eval fn.Extract.tt 0)) Trivial
   else if m = 1 then
     (* the only non-constant 1-var functions are x1 and ¬x1 *)
-    finish (R_wire (Tt.equal fn.Extract.tt (Tt.nvar 1 1))) Trivial true true None
+    finish (R_wire (Tt.equal fn.Extract.tt (Tt.nvar 1 1))) Trivial
   else if m > 4 then None
   else
     match probe ~budget_rops:(width - 1) fn.Extract.tt with
@@ -176,5 +152,4 @@ let attempt ~probe (c : Circuit.t) (w : Window.t) :
         if p.Engine.probe_report.Mm_core.Synth.attempts = [] then Atlas
         else Solver
       in
-      finish (R_circuit p.Engine.probe_circuit) origin p.Engine.probe_exact
-        p.Engine.probe_optimal p.Engine.probe_class_rep
+      finish (R_circuit p.Engine.probe_circuit) origin

@@ -23,22 +23,11 @@ module Circuit = Mm_core.Circuit
 module Tt = Mm_boolfun.Truth_table
 module Engine = Mm_engine.Engine
 
-(** How the replacement was obtained (provenance, kept per splice). *)
+(** How the replacement was obtained. *)
 type origin =
   | Trivial  (** constant / wire / negated-wire window, no probe *)
   | Atlas  (** exact class served by the atlas tier, zero solver calls *)
   | Solver  (** SAT pipeline (cache hits included) *)
-
-type candidate = {
-  window : Window.t;
-  fn : Extract.fn;
-  old_rops : int;  (** window width replaced *)
-  new_rops : int;  (** replacement segment length, fresh inverters included *)
-  origin : origin;
-  exact : bool;
-  optimal : bool;  (** minimality proof completed within the probe budget *)
-  class_rep : Tt.t option;  (** NPN representative, when the probe ran *)
-}
 
 (** Replacement segment shape handed to {!splice}. *)
 type repl =
@@ -53,11 +42,11 @@ type repl =
     replacement output. *)
 val splice : Circuit.t -> Window.t -> Circuit.source array -> repl -> Circuit.t * int
 
-(** [attempt ~probe c w] is [Some (c', cand)] when a strictly-cheaper
+(** [attempt ~probe c w] is [Some (c', origin)] when a strictly-cheaper
     replacement exists, [None] otherwise. [probe] is the (memoized)
     window-shaped engine entry — see {!Mm_engine.Engine.probe_window}. *)
 val attempt :
   probe:(budget_rops:int -> Tt.t -> Engine.probe option) ->
   Circuit.t ->
   Window.t ->
-  (Circuit.t * candidate) option
+  (Circuit.t * origin) option

@@ -15,9 +15,15 @@ let source_key (s : Circuit.source) =
   | Circuit.From_literal (Literal.Neg i) -> Circuit.From_literal (Literal.Pos i)
   | s -> s
 
+(* window geometry: at most [max_width] member R-ops (a replacement gets
+   [max_width - 1] R-ops of budget) and [max_live] live-ins; windows whose
+   projected support exceeds 4 are skipped by the rewriter anyway *)
+let max_width = 6
+let max_live = 6
+
 (* distinct external signals read by [members], first-use order; None when
    the count leaves [1 .. max_live] *)
-let live_ins (c : Circuit.t) ~max_live (members : int array) =
+let live_ins (c : Circuit.t) (members : int array) =
   let inside = Hashtbl.create 8 in
   Array.iter (fun m -> Hashtbl.replace inside m ()) members;
   let seen = Hashtbl.create 8 in
@@ -43,7 +49,7 @@ let live_ins (c : Circuit.t) ~max_live (members : int array) =
     members;
   if !ok && !count >= 1 then Some (Array.of_list (List.rev !ins)) else None
 
-let enumerate ?(max_width = 6) ?(max_live = 6) (c : Circuit.t) =
+let enumerate (c : Circuit.t) =
   let n_r = Circuit.n_rops c in
   if n_r = 0 then []
   else begin
@@ -68,7 +74,7 @@ let enumerate ?(max_width = 6) ?(max_live = 6) (c : Circuit.t) =
       let key = Array.to_list members in
       if not (Hashtbl.mem seen_members key) then begin
         Hashtbl.add seen_members key ();
-        match live_ins c ~max_live members with
+        match live_ins c members with
         | Some live_in ->
           windows :=
             { members; live_in; live_out = members.(Array.length members - 1) }

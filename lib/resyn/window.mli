@@ -44,8 +44,8 @@ val lo : t -> int
     (one underlying signal), everything else is itself. *)
 val source_key : Circuit.source -> Circuit.source
 
-(** All legal windows of [2 .. max_width] members with [1 .. max_live]
-    live-ins: every single-live-out contiguous span plus every capped
-    fanout-free cone not already enumerated as a span. Ordered by
-    live-out ascending, then width ascending. *)
-val enumerate : ?max_width:int -> ?max_live:int -> Circuit.t -> t list
+(** All legal windows of 2 to 6 members with 1 to 6 live-ins: every
+    single-live-out contiguous span plus every capped fanout-free cone not
+    already enumerated as a span. Ordered by live-out ascending, then width
+    ascending. *)
+val enumerate : Circuit.t -> t list
