@@ -33,7 +33,7 @@ MMSYNTH     := _build/default/bin/mmsynth.exe
 
 .PHONY: all build test smoke smoke-fault smoke-serve smoke-ladder \
   smoke-prove smoke-map smoke-xbar smoke-resyn smoke-atlas smoke-cluster \
-  check bench bench-ladder bench-prove bench-map bench-xbar bench-resyn \
+  check bench bench-ladder bench-ladder-check bench-prove bench-map bench-xbar bench-resyn \
   bench-robustness bench-serve bench-storm bench-atlas perfbench \
   perfbench-trace clean
 
@@ -251,6 +251,26 @@ bench:
 
 bench-ladder:
 	dune exec bench/main.exe -- ladder
+
+# Regression gate for BENCH_ladder.json, kept out of `make check` because
+# it takes about two minutes: re-run `bench ladder` in a temp directory and
+# diff it against the committed file with the wall times, the speedups and the
+# host's core count stripped. Every verdict and every conflict count must
+# match, so any change to the solver's search makes it exit non-zero.
+bench-ladder-check: build
+	@set -e; \
+	tmp=$$(mktemp -d /tmp/mmsynth_ladder_check_XXXXXX); \
+	bench=$$(pwd)/_build/default/bench/main.exe; \
+	(cd $$tmp && $$bench ladder > bench.log) \
+	  || { echo "bench-ladder-check: bench ladder failed"; rm -rf $$tmp; exit 1; }; \
+	strip='s/"[a-z_]*(wall_s|speedup_[a-z_]*|cores)": [0-9.]+,? ?//g'; \
+	sed -E "$$strip" BENCH_ladder.json > $$tmp/committed.json; \
+	sed -E "$$strip" $$tmp/BENCH_ladder.json > $$tmp/fresh.json; \
+	diff -u $$tmp/committed.json $$tmp/fresh.json || { \
+	  echo "bench-ladder-check: verdicts or conflicts differ from BENCH_ladder.json"; \
+	  rm -rf $$tmp; exit 1; }; \
+	rm -rf $$tmp; \
+	echo "bench-ladder-check: OK (every verdict and conflict count matches BENCH_ladder.json)"
 
 bench-prove:
 	dune exec bench/main.exe -- prove

@@ -1,21 +1,26 @@
 (* Conflict-driven clause learning in the MiniSat lineage. The comments
    flag the invariants that are easy to break:
-   - a clause's watched literals are lits.(0) and lits.(1); the clause is
-     registered in watches.(negate lits.(0)) and watches.(negate lits.(1));
+   - a clause's watched literals are its first two; the clause is
+     registered in watches.(negate lit 0) and watches.(negate lit 1);
    - when a clause is the reason of an assignment, the asserted literal is
-     lits.(0);
-   - assigns.(v) is 0 for unassigned, 1 for true, -1 for false. *)
+     its first literal;
+   - assigns.(v) is 0 for unassigned, 1 for true, -1 for false.
 
-type clause = {
-  mutable lits : int array;
-  learnt : bool;
-  mutable activity : float;
-  mutable lbd : int;
-  mutable removed : bool;
-}
-
-let dummy_clause =
-  { lits = [||]; learnt = false; activity = 0.; lbd = 0; removed = true }
+   Clause storage. Every clause lives in an int arena as
+   [len; meta; act_slot; lit 0; ...; lit (len-1)] and is named by an int
+   ref, (chunk lsl off_bits) lor offset. Watch lists, reasons and the
+   learnt list hold refs; -1 means "no clause". [meta] packs the learnt
+   bit, the removed bit and the LBD. A learnt clause's activity lives in
+   [cla_act.(act_slot)], an unboxed float array. The arena is a sequence
+   of chunks, each half again as large as the one before, from
+   [first_chunk] up to [max_chunk] words. Chunks are never copied, and
+   growing by half rather than doubling bounds unused capacity to a third
+   (doubling chunks measured a higher peak heap than clause records did).
+   Learnt-DB reduction only marks clauses removed; [propagate] drops their
+   watchers lazily, and once removed clauses make up a fifth of the arena,
+   [compact] slides the live clauses down in address order and rewrites
+   every ref. Compaction keeps every watch list in its order, so where a
+   clause is stored never changes the search. *)
 
 type result = Sat | Unsat | Unknown
 
@@ -55,22 +60,56 @@ type stats = {
   props_per_s : float;
 }
 
+(* --- clause arena layout ---------------------------------------------- *)
+
+let hdr = 3 (* len; meta; act_slot *)
+let learnt_bit = 1
+let removed_bit = 2
+let lbd_shift = 2
+let off_bits = 30
+let off_mask = (1 lsl off_bits) - 1
+let first_chunk = 1 lsl 13
+let max_chunk = 1 lsl 20
+
+(* A growable int vector: the trail, watch lists, the learnt list and the
+   conflict-analysis buffers. *)
+type ivec = { mutable data : int array; mutable size : int }
+
+let ivec () = { data = [||]; size = 0 }
+
+let push v x =
+  if v.size = Array.length v.data then begin
+    let data = Array.make (max 8 (2 * v.size)) 0 in
+    Array.blit v.data 0 data 0 v.size;
+    v.data <- data
+  end;
+  Array.unsafe_set v.data v.size x;
+  v.size <- v.size + 1
+
 type t = {
   cfg : config;
   mutable rng : int64;
   mutable nvars : int;
   mutable assigns : int array;
   mutable level : int array;
-  mutable reason : clause array; (* dummy_clause = no reason *)
+  mutable reason : int array; (* clause ref, -1 = no reason *)
   mutable var_act : float array;
   mutable phase : bool array;
   mutable seen : bool array;
-  mutable heap : Heap.t;
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
-  mutable watches : clause Vec.t array;
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  heap : Heap.t;
+  mutable chunks : int array array;
+  mutable used : int array; (* words in use per chunk *)
+  mutable cur : int; (* the chunk new clauses go to; later ones are empty *)
+  mutable arena_words : int; (* words of stored clauses, removed included *)
+  mutable wasted : int; (* words of removed clauses *)
+  mutable cla_act : float array; (* learnt activity, by act_slot *)
+  mutable nslots : int;
+  free_slots : ivec;
+  mutable nclauses : int;
+  learnts : ivec;
+  mutable watches : ivec array;
+  trail : ivec;
+  trail_lim : ivec;
   mutable qhead : int;
   mutable var_inc : float;
   var_decay : float;
@@ -84,7 +123,15 @@ type t = {
   mutable max_learnts : float;
   mutable model : int array; (* copy of assigns at last Sat *)
   mutable has_model : bool;
-  to_clear : int Vec.t;
+  (* Conflict-analysis buffers, reused across conflicts. [learnt] holds the
+     clause [analyze] derives until [record_learnt] stores it; a level is
+     counted towards the LBD when [lvl_stamp.(level)] is not yet [stamp]. *)
+  learnt : ivec;
+  to_clear : ivec;
+  stack : ivec;
+  undo : ivec;
+  mutable lvl_stamp : int array;
+  mutable stamp : int;
   mutable peak_learnts : int;
   mutable solve_time_s : float;
   mutable failed : int list; (* failed assumptions of the last Unsat *)
@@ -121,51 +168,60 @@ let rand_float t =
 let rand_bool t = Int64.logand (rand_bits t) 1L = 1L
 
 let create ?(config = default_config) () =
-  let t =
-    {
-      cfg = config;
-      rng = mix64 config.seed;
-      nvars = 0;
-      assigns = [||];
-      level = [||];
-      reason = [||];
-      var_act = [||];
-      phase = [||];
-      seen = [||];
-      heap = Heap.create ~prio:(fun _ -> 0.);
-      clauses = Vec.create ~dummy:dummy_clause;
-      learnts = Vec.create ~dummy:dummy_clause;
-      watches = [||];
-      trail = Vec.create ~dummy:(-1);
-      trail_lim = Vec.create ~dummy:(-1);
-      qhead = 0;
-      var_inc = 1.0;
-      var_decay = 0.95;
-      cla_inc = 1.0;
-      cla_decay = 0.999;
-      ok = true;
-      conflicts = 0;
-      decisions = 0;
-      propagations = 0;
-      restarts = 0;
-      max_learnts = 0.;
-      model = [||];
-      has_model = false;
-      to_clear = Vec.create ~dummy:(-1);
-      peak_learnts = 0;
-      solve_time_s = 0.;
-      failed = [];
-      export = None;
-      export_max_lbd = 0;
-      import = None;
-      imported = 0;
-    }
-  in
-  t.heap <- Heap.create ~prio:(fun v -> t.var_act.(v));
-  t
+  {
+    cfg = config;
+    rng = mix64 config.seed;
+    nvars = 0;
+    assigns = [||];
+    level = [||];
+    reason = [||];
+    var_act = [||];
+    phase = [||];
+    seen = [||];
+    heap = Heap.create ();
+    chunks = [||];
+    used = [||];
+    cur = 0;
+    arena_words = 0;
+    wasted = 0;
+    cla_act = [||];
+    nslots = 0;
+    free_slots = ivec ();
+    nclauses = 0;
+    learnts = ivec ();
+    watches = [||];
+    trail = ivec ();
+    trail_lim = ivec ();
+    qhead = 0;
+    var_inc = 1.0;
+    var_decay = 0.95;
+    cla_inc = 1.0;
+    cla_decay = 0.999;
+    ok = true;
+    conflicts = 0;
+    decisions = 0;
+    propagations = 0;
+    restarts = 0;
+    max_learnts = 0.;
+    model = [||];
+    has_model = false;
+    learnt = ivec ();
+    to_clear = ivec ();
+    stack = ivec ();
+    undo = ivec ();
+    lvl_stamp = [||];
+    stamp = 0;
+    peak_learnts = 0;
+    solve_time_s = 0.;
+    failed = [];
+    export = None;
+    export_max_lbd = 0;
+    import = None;
+    imported = 0;
+  }
 
 let nvars t = t.nvars
-let nclauses t = Vec.size t.clauses
+let nclauses t = t.nclauses
 let ok t = t.ok
 let config t = t.cfg
 
@@ -176,32 +232,30 @@ let set_clause_export t ~max_lbd f =
 let set_clause_import t f = t.import <- Some f
 
 let grow_arrays t cap =
-  let grow_int a = Array.append a (Array.make (cap - Array.length a) 0) in
-  let grow_bool a = Array.append a (Array.make (cap - Array.length a) false) in
-  let grow_float a = Array.append a (Array.make (cap - Array.length a) 0.) in
-  let grow_clause a = Array.append a (Array.make (cap - Array.length a) dummy_clause) in
-  t.assigns <- grow_int t.assigns;
-  t.level <- grow_int t.level;
-  t.reason <- grow_clause t.reason;
-  t.var_act <- grow_float t.var_act;
-  t.phase <- Array.append t.phase (Array.make (cap - Array.length t.phase) t.cfg.phase_init);
-  t.seen <- grow_bool t.seen;
-  let w = Array.init (2 * cap) (fun i ->
-      if i < Array.length t.watches then t.watches.(i)
-      else Vec.create ~dummy:dummy_clause)
+  let grow a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
   in
-  t.watches <- w
+  t.assigns <- grow t.assigns 0;
+  t.level <- grow t.level 0;
+  t.reason <- grow t.reason (-1);
+  t.var_act <- grow t.var_act 0.;
+  t.phase <- grow t.phase t.cfg.phase_init;
+  t.seen <- grow t.seen false;
+  t.watches <-
+    Array.init (2 * cap) (fun i ->
+        if i < Array.length t.watches then t.watches.(i) else ivec ())
 
 let new_var t =
   let v = t.nvars in
   t.nvars <- v + 1;
   if v >= Array.length t.assigns then
     grow_arrays t (max 16 (2 * Array.length t.assigns + 1));
-  (* Jitter must land before the heap insert: the heap priority reads
-     var_act at insertion time. *)
+  (* Jitter must land before the heap insert: the heap orders by var_act at
+     insertion time. *)
   if t.cfg.var_jitter > 0. then t.var_act.(v) <- rand_float t *. t.cfg.var_jitter;
-  Heap.ensure t.heap v;
-  Heap.insert t.heap v;
+  Heap.insert t.heap t.var_act v;
   v
 
 let new_vars t k =
@@ -214,74 +268,234 @@ let new_vars t k =
 
 (* --- assignment primitives --------------------------------------------- *)
 
-let value_lit t l =
+let[@inline] value_lit t l =
   let a = t.assigns.(Lit.var l) in
   if Lit.sign l then -a else a
 
-let decision_level t = Vec.size t.trail_lim
+let decision_level t = t.trail_lim.size
 
 let enqueue t l reason =
   let v = Lit.var l in
   t.assigns.(v) <- (if Lit.sign l then -1 else 1);
   t.level.(v) <- decision_level t;
   t.reason.(v) <- reason;
-  Vec.push t.trail l
+  push t.trail l
 
-let new_decision_level t = Vec.push t.trail_lim (Vec.size t.trail)
+let new_decision_level t = push t.trail_lim t.trail.size
 
 let cancel_until t target =
   if decision_level t > target then begin
-    let bound = Vec.get t.trail_lim target in
-    for i = Vec.size t.trail - 1 downto bound do
-      let l = Vec.get t.trail i in
+    let bound = t.trail_lim.data.(target) in
+    for i = t.trail.size - 1 downto bound do
+      let l = t.trail.data.(i) in
       let v = Lit.var l in
       t.assigns.(v) <- 0;
       t.phase.(v) <- not (Lit.sign l);
-      t.reason.(v) <- dummy_clause;
-      if not (Heap.in_heap t.heap v) then Heap.insert t.heap v
+      t.reason.(v) <- -1;
+      if not (Heap.in_heap t.heap v) then Heap.insert t.heap t.var_act v
     done;
-    Vec.shrink t.trail bound;
-    Vec.shrink t.trail_lim target;
+    t.trail.size <- bound;
+    t.trail_lim.size <- target;
     t.qhead <- bound
   end
 
-(* --- clause attachment -------------------------------------------------- *)
+(* --- clause arena -------------------------------------------------------- *)
 
-let attach t c =
-  Vec.push t.watches.(Lit.negate c.lits.(0)) c;
-  Vec.push t.watches.(Lit.negate c.lits.(1)) c
+let[@inline] chunk t cr = t.chunks.(cr lsr off_bits)
+let[@inline] off cr = cr land off_mask
+
+(* Reserve [size] words and return their ref. Appends to the current chunk,
+   moving on to the next (empty) one or a fresh one when it is full. *)
+let alloc t size =
+  if size > off_mask then invalid_arg "Solver: clause too long";
+  let rec fit c =
+    if c < Array.length t.chunks then
+      if t.used.(c) + size <= Array.length t.chunks.(c) then c else fit (c + 1)
+    else begin
+      let last = if c = 0 then 0 else Array.length t.chunks.(c - 1) in
+      let cap = max size (min max_chunk (max first_chunk (last + (last / 2)))) in
+      t.chunks <- Array.append t.chunks [| Array.make cap 0 |];
+      t.used <- Array.append t.used [| 0 |];
+      c
+    end
+  in
+  let c = fit t.cur in
+  t.cur <- c;
+  let o = t.used.(c) in
+  t.used.(c) <- o + size;
+  t.arena_words <- t.arena_words + size;
+  (c lsl off_bits) lor o
+
+let take_slot t =
+  let s =
+    if t.free_slots.size > 0 then begin
+      t.free_slots.size <- t.free_slots.size - 1;
+      t.free_slots.data.(t.free_slots.size)
+    end
+    else begin
+      let s = t.nslots in
+      if s = Array.length t.cla_act then begin
+        let act = Array.make (max 64 (2 * s)) 0. in
+        Array.blit t.cla_act 0 act 0 s;
+        t.cla_act <- act
+      end;
+      t.nslots <- s + 1;
+      s
+    end
+  in
+  t.cla_act.(s) <- 0.;
+  s
+
+(* A clause of [n] literals with its header written; the caller fills in
+   the literals. *)
+let new_clause t ~learnt ~lbd n =
+  let cr = alloc t (hdr + n) in
+  let a = chunk t cr and o = off cr in
+  a.(o) <- n;
+  a.(o + 1) <- (lbd lsl lbd_shift) lor (if learnt then learnt_bit else 0);
+  a.(o + 2) <- (if learnt then take_slot t else -1);
+  cr
+
+let remove_clause t cr =
+  let a = chunk t cr and o = off cr in
+  a.(o + 1) <- a.(o + 1) lor removed_bit;
+  push t.free_slots a.(o + 2);
+  t.wasted <- t.wasted + hdr + a.(o)
+
+let attach t cr =
+  let a = chunk t cr and o = off cr in
+  push t.watches.(Lit.negate a.(o + hdr)) cr;
+  push t.watches.(Lit.negate a.(o + hdr + 1)) cr
+
+(* Slide every live clause down to the lowest free address, in address
+   order, without a side table:
+   1. give each live clause its new ref, kept in its [len] word while [len]
+      moves into the [meta] word as [len lsl 32 lor meta];
+   2. rewrite the refs in watch lists, the learnt list and reasons through
+      those forwarding words. Watchers of removed clauses go, which
+      [propagate] would have done lazily; every other watch list entry
+      keeps its place;
+   3. restore each header and copy the clause to its new ref.
+   A clause fits at or below where it is, so the write position never
+   passes the read position and no clause is overwritten before it moves. *)
+let compact t =
+  let nchunks = Array.length t.chunks in
+  let wc = ref 0 and wo = ref 0 in
+  for rc = 0 to nchunks - 1 do
+    let a = t.chunks.(rc) and limit = t.used.(rc) in
+    let ro = ref 0 in
+    while !ro < limit do
+      let len = a.(!ro) and meta = a.(!ro + 1) in
+      if meta land removed_bit = 0 then begin
+        while !wo + hdr + len > Array.length t.chunks.(!wc) do
+          incr wc;
+          wo := 0
+        done;
+        a.(!ro) <- (!wc lsl off_bits) lor !wo;
+        a.(!ro + 1) <- (len lsl 32) lor meta;
+        wo := !wo + hdr + len
+      end;
+      ro := !ro + hdr + len
+    done
+  done;
+  let forward cr =
+    let a = chunk t cr and o = off cr in
+    if a.(o + 1) land removed_bit <> 0 then -1 else a.(o)
+  in
+  Array.iter
+    (fun ws ->
+      let j = ref 0 in
+      for i = 0 to ws.size - 1 do
+        let r = forward ws.data.(i) in
+        if r >= 0 then begin
+          ws.data.(!j) <- r;
+          incr j
+        end
+      done;
+      ws.size <- !j)
+    t.watches;
+  for i = 0 to t.learnts.size - 1 do
+    t.learnts.data.(i) <- forward t.learnts.data.(i)
+  done;
+  for v = 0 to t.nvars - 1 do
+    if t.reason.(v) >= 0 then t.reason.(v) <- forward t.reason.(v)
+  done;
+  let wc = ref 0 and wo = ref 0 in
+  for rc = 0 to nchunks - 1 do
+    let a = t.chunks.(rc) and limit = t.used.(rc) in
+    let ro = ref 0 in
+    while !ro < limit do
+      let w0 = a.(!ro) and w1 = a.(!ro + 1) in
+      if w1 land removed_bit <> 0 then ro := !ro + hdr + w0
+      else begin
+        let len = w1 lsr 32 and dc = w0 lsr off_bits and d = w0 land off_mask in
+        if dc <> !wc then begin
+          (* chunks before [dc] are fully read: settle their fill *)
+          t.used.(!wc) <- !wo;
+          for c = !wc + 1 to dc - 1 do
+            t.used.(c) <- 0
+          done;
+          wc := dc
+        end;
+        a.(!ro) <- len;
+        a.(!ro + 1) <- w1 land 0xFFFF_FFFF;
+        Array.blit a !ro t.chunks.(dc) d (hdr + len);
+        wo := d + hdr + len;
+        ro := !ro + hdr + len
+      end
+    done
+  done;
+  t.used.(!wc) <- !wo;
+  for c = !wc + 1 to nchunks - 1 do
+    t.used.(c) <- 0
+  done;
+  t.cur <- !wc;
+  t.arena_words <- t.arena_words - t.wasted;
+  t.wasted <- 0
 
 let add_clause_a t lits =
   if t.ok then begin
     (* Root-level simplification: drop false literals, detect tautologies
-       and duplicates. Callers only add clauses at decision level 0. *)
+       and duplicates. Callers only add clauses at decision level 0. The
+       kept literals are compacted to the front of the sorted copy and
+       stored in reverse, largest first. *)
     let lits = Array.copy lits in
     Array.sort compare lits;
-    let keep = ref [] in
+    let n = ref 0 in
     let taut = ref false in
     Array.iter
       (fun l ->
         if Lit.var l >= t.nvars then invalid_arg "Solver.add_clause: unknown var";
-        match !keep with
-        | prev :: _ when prev = l -> ()
-        | prev :: _ when prev = Lit.negate l -> taut := true
-        | _ -> if value_lit t l <> -1 || t.level.(Lit.var l) > 0 then keep := l :: !keep)
+        let prev = if !n > 0 then lits.(!n - 1) else -1 in
+        if prev = l then ()
+        else if prev = Lit.negate l then taut := true
+        else if value_lit t l <> -1 || t.level.(Lit.var l) > 0 then begin
+          lits.(!n) <- l;
+          incr n
+        end)
       lits;
-    let sat_already =
-      List.exists (fun l -> value_lit t l = 1 && t.level.(Lit.var l) = 0) !keep
-    in
-    if not (!taut || sat_already) then begin
-      match !keep with
-      | [] -> t.ok <- false
-      | [ l ] ->
-        if value_lit t l = 0 then enqueue t l dummy_clause
+    let n = !n in
+    let sat_already = ref false in
+    for i = 0 to n - 1 do
+      let l = lits.(i) in
+      if value_lit t l = 1 && t.level.(Lit.var l) = 0 then sat_already := true
+    done;
+    if not (!taut || !sat_already) then begin
+      if n = 0 then t.ok <- false
+      else if n = 1 then begin
+        let l = lits.(0) in
+        if value_lit t l = 0 then enqueue t l (-1)
         else if value_lit t l = -1 then t.ok <- false
-      | l ->
-        let c =
-          { lits = Array.of_list l; learnt = false; activity = 0.; lbd = 0; removed = false }
-        in
-        Vec.push t.clauses c;
-        attach t c
+      end
+      else begin
+        let cr = new_clause t ~learnt:false ~lbd:0 n in
+        let a = chunk t cr and o = off cr + hdr in
+        for i = 0 to n - 1 do
+          a.(o + i) <- lits.(n - 1 - i)
+        done;
+        t.nclauses <- t.nclauses + 1;
+        attach t cr
+      end
     end
   end
 
@@ -290,66 +504,67 @@ let add_clause t lits = add_clause_a t (Array.of_list lits)
 (* --- propagation --------------------------------------------------------- *)
 
 let propagate t =
-  let conflict = ref dummy_clause in
-  (try
-     while t.qhead < Vec.size t.trail do
-       let p = Vec.get t.trail t.qhead in
-       t.qhead <- t.qhead + 1;
-       t.propagations <- t.propagations + 1;
-       let not_p = Lit.negate p in
-       let ws = t.watches.(p) in
-       let i = ref 0 and j = ref 0 in
-       (try
-          while !i < Vec.size ws do
-            let c = Vec.get ws !i in
-            incr i;
-            if not c.removed then begin
-              (* ensure the false literal (¬p) sits at lits.(1) *)
-              if c.lits.(0) = not_p then begin
-                c.lits.(0) <- c.lits.(1);
-                c.lits.(1) <- not_p
-              end;
-              if value_lit t c.lits.(0) = 1 then begin
-                Vec.set ws !j c;
-                incr j
-              end
-              else begin
-                let len = Array.length c.lits in
-                let k = ref 2 in
-                while !k < len && value_lit t c.lits.(!k) = -1 do
-                  incr k
-                done;
-                if !k < len then begin
-                  (* new watch found: move it to slot 1 *)
-                  c.lits.(1) <- c.lits.(!k);
-                  c.lits.(!k) <- not_p;
-                  Vec.push t.watches.(Lit.negate c.lits.(1)) c
-                end
-                else begin
-                  Vec.set ws !j c;
-                  incr j;
-                  if value_lit t c.lits.(0) = -1 then begin
-                    (* conflict: keep remaining watchers, stop *)
-                    while !i < Vec.size ws do
-                      Vec.set ws !j (Vec.get ws !i);
-                      incr i;
-                      incr j
-                    done;
-                    Vec.shrink ws !j;
-                    conflict := c;
-                    raise Exit
-                  end
-                  else enqueue t c.lits.(0) c
-                end
-              end
-            end
+  let conflict = ref (-1) in
+  let chunks = t.chunks in
+  let trail = t.trail in
+  while !conflict < 0 && t.qhead < trail.size do
+    let p = trail.data.(t.qhead) in
+    t.qhead <- t.qhead + 1;
+    t.propagations <- t.propagations + 1;
+    let not_p = Lit.negate p in
+    (* a new watch is never ¬p's own list, so [ws] does not grow below *)
+    let ws = t.watches.(p) in
+    let wd = ws.data and n = ws.size in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let cr = wd.(!i) in
+      incr i;
+      let a = chunks.(cr lsr off_bits) and o = cr land off_mask in
+      if a.(o + 1) land removed_bit = 0 then begin
+        let l0 = o + hdr in
+        (* ensure the false literal (¬p) sits at lit 1 *)
+        if a.(l0) = not_p then begin
+          a.(l0) <- a.(l0 + 1);
+          a.(l0 + 1) <- not_p
+        end;
+        let first = a.(l0) in
+        if value_lit t first = 1 then begin
+          wd.(!j) <- cr;
+          incr j
+        end
+        else begin
+          let stop = l0 + a.(o) in
+          let k = ref (l0 + 2) in
+          while !k < stop && value_lit t a.(!k) = -1 do
+            incr k
           done;
-          Vec.shrink ws !j
-        with Exit ->
-          t.qhead <- Vec.size t.trail;
-          raise Exit)
-     done
-   with Exit -> ());
+          if !k < stop then begin
+            (* new watch found: move it to lit 1 *)
+            let w = a.(!k) in
+            a.(l0 + 1) <- w;
+            a.(!k) <- not_p;
+            push t.watches.(Lit.negate w) cr
+          end
+          else begin
+            wd.(!j) <- cr;
+            incr j;
+            if value_lit t first = -1 then begin
+              (* conflict: keep remaining watchers, stop *)
+              conflict := cr;
+              while !i < n do
+                wd.(!j) <- wd.(!i);
+                incr i;
+                incr j
+              done
+            end
+            else enqueue t first cr
+          end
+        end
+      end
+    done;
+    ws.size <- !j;
+    if !conflict >= 0 then t.qhead <- trail.size
+  done;
   !conflict
 
 (* --- activities ---------------------------------------------------------- *)
@@ -362,14 +577,19 @@ let var_bump t v =
     done;
     t.var_inc <- t.var_inc *. 1e-100
   end;
-  Heap.notify_increased t.heap v
+  Heap.notify_increased t.heap t.var_act v
 
 let var_decay_activity t = t.var_inc <- t.var_inc /. t.var_decay
 
-let cla_bump t c =
-  c.activity <- c.activity +. t.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun c -> c.activity <- c.activity *. 1e-20) t.learnts;
+let cla_bump t cr =
+  let s = (chunk t cr).(off cr + 2) in
+  t.cla_act.(s) <- t.cla_act.(s) +. t.cla_inc;
+  if t.cla_act.(s) > 1e20 then begin
+    for i = 0 to t.learnts.size - 1 do
+      let cr = t.learnts.data.(i) in
+      let s = (chunk t cr).(off cr + 2) in
+      t.cla_act.(s) <- t.cla_act.(s) *. 1e-20
+    done;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
@@ -381,123 +601,151 @@ let cla_decay_activity t = t.cla_inc <- t.cla_inc /. t.cla_decay
    a literal is redundant when every path through its reason graph ends in a
    literal already in the learnt clause or at level 0. *)
 let lit_redundant t l =
-  let undo = Vec.create ~dummy:(-1) in
-  let stack = ref [ l ] in
+  let undo = t.undo and stack = t.stack in
+  undo.size <- 0;
+  stack.size <- 0;
+  push stack l;
   let failed = ref false in
-  while (not !failed) && !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-      stack := rest;
-      let c = t.reason.(Lit.var q) in
-      if c == dummy_clause then failed := true
-      else
-        Array.iteri
-          (fun idx l' ->
-            if idx > 0 then begin
-              let v = Lit.var l' in
-              if (not t.seen.(v)) && t.level.(v) > 0 then
-                if t.reason.(v) != dummy_clause then begin
-                  t.seen.(v) <- true;
-                  Vec.push undo v;
-                  stack := l' :: !stack
-                end
-                else failed := true
-            end)
-          c.lits
+  while (not !failed) && stack.size > 0 do
+    stack.size <- stack.size - 1;
+    let cr = t.reason.(Lit.var stack.data.(stack.size)) in
+    if cr < 0 then failed := true
+    else begin
+      let a = chunk t cr and o = off cr + hdr in
+      let stop = o + a.(o - hdr) in
+      let k = ref (o + 1) in
+      while (not !failed) && !k < stop do
+        let v = Lit.var a.(!k) in
+        if (not t.seen.(v)) && t.level.(v) > 0 then
+          if t.reason.(v) >= 0 then begin
+            t.seen.(v) <- true;
+            push undo v;
+            push stack a.(!k)
+          end
+          else failed := true;
+        incr k
+      done
+    end
   done;
-  if !failed then Vec.iter (fun v -> t.seen.(v) <- false) undo
-  else Vec.iter (fun v -> Vec.push t.to_clear v) undo;
+  for i = 0 to undo.size - 1 do
+    if !failed then t.seen.(undo.data.(i)) <- false
+    else push t.to_clear undo.data.(i)
+  done;
   not !failed
 
+(* First-UIP analysis of conflict [confl]. Leaves the learnt clause in
+   [t.learnt], asserting literal first and a highest-level tail literal
+   second, and returns (backtrack level, LBD). *)
 let analyze t confl =
-  let out = Vec.create ~dummy:(-1) in
-  Vec.push out (-1); (* slot for the asserting literal *)
+  let out = t.learnt in
+  out.size <- 0;
+  push out (-1); (* slot for the asserting literal *)
+  let dl = decision_level t in
   let path_c = ref 0 in
   let p = ref (-1) in
-  let index = ref (Vec.size t.trail - 1) in
+  let index = ref (t.trail.size - 1) in
   let confl = ref confl in
   let continue = ref true in
   while !continue do
-    let c = !confl in
-    if c.learnt then cla_bump t c;
+    let cr = !confl in
+    let a = chunk t cr and o = off cr in
+    if a.(o + 1) land learnt_bit <> 0 then cla_bump t cr;
     let start = if !p = -1 then 0 else 1 in
-    for j = start to Array.length c.lits - 1 do
-      let q = c.lits.(j) in
+    for j = o + hdr + start to o + hdr + a.(o) - 1 do
+      let q = a.(j) in
       let v = Lit.var q in
       if (not t.seen.(v)) && t.level.(v) > 0 then begin
         var_bump t v;
         t.seen.(v) <- true;
-        if t.level.(v) >= decision_level t then incr path_c
-        else Vec.push out q
+        if t.level.(v) >= dl then incr path_c else push out q
       end
     done;
     (* walk the trail back to the next marked literal *)
-    while not t.seen.(Lit.var (Vec.get t.trail !index)) do
+    while not t.seen.(Lit.var t.trail.data.(!index)) do
       decr index
     done;
-    p := Vec.get t.trail !index;
+    p := t.trail.data.(!index);
     decr index;
     confl := t.reason.(Lit.var !p);
     t.seen.(Lit.var !p) <- false;
     decr path_c;
     if !path_c = 0 then continue := false
   done;
-  Vec.set out 0 (Lit.negate !p);
+  out.data.(0) <- Lit.negate !p;
   (* record marked vars for cleanup *)
-  Vec.iter (fun l -> if l >= 0 then Vec.push t.to_clear (Lit.var l)) out;
-  (* minimize: drop redundant literals from the tail *)
-  let minimized = Vec.create ~dummy:(-1) in
-  Vec.push minimized (Vec.get out 0);
-  for i = 1 to Vec.size out - 1 do
-    let l = Vec.get out i in
-    if t.reason.(Lit.var l) == dummy_clause || not (lit_redundant t l) then
-      Vec.push minimized l
+  for i = 0 to out.size - 1 do
+    push t.to_clear (Lit.var out.data.(i))
   done;
-  Vec.iter (fun v -> t.seen.(v) <- false) t.to_clear;
-  Vec.clear t.to_clear;
+  (* minimize in place: drop redundant literals from the tail *)
+  let n = ref 1 in
+  for i = 1 to out.size - 1 do
+    let l = out.data.(i) in
+    if t.reason.(Lit.var l) < 0 || not (lit_redundant t l) then begin
+      out.data.(!n) <- l;
+      incr n
+    end
+  done;
+  out.size <- !n;
+  for i = 0 to t.to_clear.size - 1 do
+    t.seen.(t.to_clear.data.(i)) <- false
+  done;
+  t.to_clear.size <- 0;
   (* compute backtrack level; move the highest-level tail literal to slot 1 *)
-  let bt_level = ref 0 in
-  if Vec.size minimized > 1 then begin
-    let max_i = ref 1 in
-    for i = 2 to Vec.size minimized - 1 do
-      if t.level.(Lit.var (Vec.get minimized i))
-         > t.level.(Lit.var (Vec.get minimized !max_i))
-      then max_i := i
-    done;
-    let tmp = Vec.get minimized 1 in
-    Vec.set minimized 1 (Vec.get minimized !max_i);
-    Vec.set minimized !max_i tmp;
-    bt_level := t.level.(Lit.var (Vec.get minimized 1))
-  end;
+  let lits = out.data in
+  let bt_level =
+    if out.size > 1 then begin
+      let max_i = ref 1 in
+      for i = 2 to out.size - 1 do
+        if t.level.(Lit.var lits.(i)) > t.level.(Lit.var lits.(!max_i)) then
+          max_i := i
+      done;
+      let tmp = lits.(1) in
+      lits.(1) <- lits.(!max_i);
+      lits.(!max_i) <- tmp;
+      t.level.(Lit.var lits.(1))
+    end
+    else 0
+  in
   (* LBD = number of distinct decision levels. Assumption pseudo-levels
      count like any other: discounting them (tried) floods the
      [reduce_db] glue bucket — any clause spanning two real levels plus
      assumption literals is kept forever — and measurably bloats the
      learnt DB on assumption-ladder sweeps. *)
-  let levels = Hashtbl.create 8 in
-  Vec.iter (fun l -> Hashtbl.replace levels t.level.(Lit.var l) ()) minimized;
-  (Array.init (Vec.size minimized) (Vec.get minimized), !bt_level, Hashtbl.length levels)
+  if dl >= Array.length t.lvl_stamp then begin
+    let st = Array.make (2 * (dl + 1)) 0 in
+    Array.blit t.lvl_stamp 0 st 0 (Array.length t.lvl_stamp);
+    t.lvl_stamp <- st
+  end;
+  t.stamp <- t.stamp + 1;
+  let lbd = ref 0 in
+  for i = 0 to out.size - 1 do
+    let lv = t.level.(Lit.var lits.(i)) in
+    if t.lvl_stamp.(lv) <> t.stamp then begin
+      t.lvl_stamp.(lv) <- t.stamp;
+      incr lbd
+    end
+  done;
+  (bt_level, !lbd)
 
-let record_learnt t lits lbd =
+let record_learnt t lbd =
+  let lits = t.learnt.data and n = t.learnt.size in
   (match t.export with
-   | Some f when lbd <= t.export_max_lbd || Array.length lits = 1 ->
-     (* Copy: watch juggling in [propagate] permutes the live array. *)
-     f (Array.copy lits) ~lbd
+   | Some f when lbd <= t.export_max_lbd || n = 1 -> f (Array.sub lits 0 n) ~lbd
    | _ -> ());
-  if Array.length lits = 1 then enqueue t lits.(0) dummy_clause
+  if n = 1 then enqueue t lits.(0) (-1)
   else begin
-    let c = { lits; learnt = true; activity = 0.; lbd; removed = false } in
-    Vec.push t.learnts c;
-    if Vec.size t.learnts > t.peak_learnts then t.peak_learnts <- Vec.size t.learnts;
-    attach t c;
-    cla_bump t c;
-    enqueue t lits.(0) c
+    let cr = new_clause t ~learnt:true ~lbd n in
+    Array.blit lits 0 (chunk t cr) (off cr + hdr) n;
+    push t.learnts cr;
+    if t.learnts.size > t.peak_learnts then t.peak_learnts <- t.learnts.size;
+    attach t cr;
+    cla_bump t cr;
+    enqueue t lits.(0) cr
   end
 
 (* Which assumptions entailed the falsification of assumption [p]?
    MiniSat's analyzeFinal: walk the implication graph backwards from ¬p,
-   collecting the pseudo-decisions (reason = dummy) it hangs on. This only
+   collecting the pseudo-decisions (no reason) it hangs on. This only
    runs while [decision_level t <= number of assumptions], so every decision
    on the trail is itself an assumption. Level-0 antecedents are root facts
    and are skipped: an empty tail means ¬p is a root consequence and the
@@ -505,56 +753,62 @@ let record_learnt t lits lbd =
 let analyze_final t p =
   let core = ref [ p ] in
   if decision_level t > 0 then begin
-    let marked = Vec.create ~dummy:(-1) in
+    let marked = t.undo in
+    marked.size <- 0;
     let mark v =
       if not t.seen.(v) then begin
         t.seen.(v) <- true;
-        Vec.push marked v
+        push marked v
       end
     in
     mark (Lit.var p);
-    let bottom = Vec.get t.trail_lim 0 in
-    for i = Vec.size t.trail - 1 downto bottom do
-      let l = Vec.get t.trail i in
+    let bottom = t.trail_lim.data.(0) in
+    for i = t.trail.size - 1 downto bottom do
+      let l = t.trail.data.(i) in
       let v = Lit.var l in
       if t.seen.(v) then begin
-        let c = t.reason.(v) in
-        if c == dummy_clause then core := l :: !core
-        else
-          Array.iter
-            (fun q ->
-              let w = Lit.var q in
-              if t.level.(w) > 0 then mark w)
-            c.lits
+        let cr = t.reason.(v) in
+        if cr < 0 then core := l :: !core
+        else begin
+          let a = chunk t cr and o = off cr in
+          for j = o + hdr to o + hdr + a.(o) - 1 do
+            let w = Lit.var a.(j) in
+            if t.level.(w) > 0 then mark w
+          done
+        end
       end
     done;
-    Vec.iter (fun v -> t.seen.(v) <- false) marked
+    for i = 0 to marked.size - 1 do
+      t.seen.(marked.data.(i)) <- false
+    done
   end;
   !core
 
 (* --- learnt DB reduction -------------------------------------------------- *)
 
-let locked t c =
-  Array.length c.lits > 0
-  && t.reason.(Lit.var c.lits.(0)) == c
-  && value_lit t c.lits.(0) = 1
+let locked t cr =
+  let l0 = (chunk t cr).(off cr + hdr) in
+  t.reason.(Lit.var l0) = cr && value_lit t l0 = 1
 
 let reduce_db t =
   (* Glucose-flavoured: drop the worse half (high LBD, low activity), keep
      locked clauses and glue clauses (lbd <= 2). *)
-  Vec.sort
+  let lbd cr = (chunk t cr).(off cr + 1) lsr lbd_shift in
+  let act cr = t.cla_act.((chunk t cr).(off cr + 2)) in
+  let live = Array.sub t.learnts.data 0 t.learnts.size in
+  Array.sort
     (fun a b ->
-      if a.lbd <> b.lbd then compare a.lbd b.lbd else compare b.activity a.activity)
-    t.learnts;
-  let keep_count = Vec.size t.learnts / 2 in
-  let kept = Vec.create ~dummy:dummy_clause in
-  for i = 0 to Vec.size t.learnts - 1 do
-    let c = Vec.get t.learnts i in
-    if i < keep_count || c.lbd <= 2 || locked t c then Vec.push kept c
-    else c.removed <- true
-  done;
-  Vec.clear t.learnts;
-  Vec.iter (fun c -> Vec.push t.learnts c) kept
+      let la = lbd a and lb = lbd b in
+      if la <> lb then compare la lb else compare (act b) (act a))
+    live;
+  let keep_count = Array.length live / 2 in
+  t.learnts.size <- 0;
+  Array.iteri
+    (fun i cr ->
+      if i < keep_count || lbd cr <= 2 || locked t cr then push t.learnts cr
+      else remove_clause t cr)
+    live;
+  if 5 * t.wasted >= t.arena_words then compact t
 
 (* --- search --------------------------------------------------------------- *)
 
@@ -562,7 +816,7 @@ let pick_branch_var t =
   let rec go () =
     if Heap.is_empty t.heap then -1
     else
-      let v = Heap.remove_max t.heap in
+      let v = Heap.remove_max t.heap t.var_act in
       if t.assigns.(v) = 0 then v else go ()
   in
   go ()
@@ -620,7 +874,7 @@ let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts ~stop =
          || t.propagations - !props_mark >= budget_check_props
        then check_budgets ();
        let confl = propagate t in
-       if confl != dummy_clause then begin
+       if confl >= 0 then begin
          t.conflicts <- t.conflicts + 1;
          incr local_conflicts;
          if decision_level t = 0 then begin
@@ -628,9 +882,9 @@ let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts ~stop =
            t.failed <- [];
            raise (Found Unsat)
          end;
-         let lits, bt_level, lbd = analyze t confl in
+         let bt_level, lbd = analyze t confl in
          cancel_until t bt_level;
-         record_learnt t lits lbd;
+         record_learnt t lbd;
          var_decay_activity t;
          cla_decay_activity t
        end
@@ -645,7 +899,7 @@ let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts ~stop =
            cancel_until t 0;
            raise Exit
          end;
-         if float_of_int (Vec.size t.learnts) -. float_of_int (Vec.size t.trail)
+         if float_of_int t.learnts.size -. float_of_int t.trail.size
             >= t.max_learnts
          then reduce_db t;
          (* assumptions become pseudo-decisions on the first levels *)
@@ -658,7 +912,7 @@ let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts ~stop =
              raise (Found Unsat)
            | _ ->
              new_decision_level t;
-             enqueue t p dummy_clause
+             enqueue t p (-1)
          end
          else begin
            let v = pick_branch_var t in
@@ -675,7 +929,7 @@ let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts ~stop =
              then rand_bool t
              else t.phase.(v)
            in
-           enqueue t (Lit.make v (not ph)) dummy_clause
+           enqueue t (Lit.make v (not ph)) (-1)
          end
        end
      done;
@@ -700,7 +954,7 @@ let solve ?(assumptions = []) ?max_conflicts ?timeout ?stop t =
     let base_conflicts = t.conflicts in
     let global_conflicts = Option.map (fun m -> base_conflicts + m) max_conflicts in
     t.max_learnts <-
-      max 1000. (float_of_int (Vec.size t.clauses) /. 3.);
+      max 1000. (float_of_int t.nclauses /. 3.);
     let result = ref Unknown in
     let restart = ref 0 in
     let continue = ref true in
@@ -786,7 +1040,7 @@ let stats t =
     propagations = t.propagations;
     restarts = t.restarts;
     imported_clauses = t.imported;
-    learnt_clauses = Vec.size t.learnts;
+    learnt_clauses = t.learnts.size;
     peak_learnts = t.peak_learnts;
     props_per_s =
       (if t.solve_time_s > 0. then

@@ -251,6 +251,78 @@ let prop_random_cnf =
       | Solver.Unsat -> not (brute_force_sat num_vars clauses)
       | Solver.Unknown -> false)
 
+(* Incremental solving: clauses arrive between [solve ~assumptions] calls on
+   one solver. Every call must agree with brute force over the clauses added
+   so far, and every UNSAT must come with a core of the assumptions that is
+   UNSAT again on its own. *)
+let brute_force_under num_vars clauses assumptions =
+  brute_force_sat num_vars (List.map (fun d -> [ d ]) assumptions @ clauses)
+
+let gen_incremental =
+  QCheck.Gen.(
+    let* num_vars = int_range 2 8 in
+    let gen_lit =
+      let* v = int_range 1 num_vars in
+      let* s = bool in
+      return (if s then v else -v)
+    in
+    let gen_clause =
+      let* width = int_range 1 3 in
+      list_repeat width gen_lit
+    in
+    let gen_step =
+      let* added = list_size (int_range 0 8) gen_clause in
+      let* assumptions = list_size (int_range 0 3) gen_lit in
+      return (added, assumptions)
+    in
+    let* steps = list_size (int_range 2 6) gen_step in
+    return (num_vars, steps))
+
+let prop_incremental =
+  let show_clauses cs =
+    String.concat " "
+      (List.map (fun c -> String.concat "," (List.map string_of_int c)) cs)
+  in
+  QCheck.Test.make ~name:"incremental solves agree with brute force"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (n, steps) ->
+         Printf.sprintf "n=%d %s" n
+           (String.concat " | "
+              (List.map
+                 (fun (cs, a) ->
+                   Printf.sprintf "+[%s] assume [%s]" (show_clauses cs)
+                     (show_clauses [ a ]))
+                 steps)))
+       gen_incremental)
+    (fun (num_vars, steps) ->
+      let s = fresh num_vars in
+      let clauses = ref [] in
+      List.for_all
+        (fun (added, assumptions) ->
+          List.iter
+            (fun c -> Solver.add_clause s (List.map Lit.of_dimacs c))
+            added;
+          clauses := added @ !clauses;
+          let expect = brute_force_under num_vars !clauses assumptions in
+          match
+            Solver.solve ~assumptions:(List.map Lit.of_dimacs assumptions) s
+          with
+          | Solver.Sat ->
+            expect
+            && List.for_all
+                 (List.exists (fun d -> Solver.value s (Lit.of_dimacs d)))
+                 (List.map (fun d -> [ d ]) assumptions @ !clauses)
+          | Solver.Unsat ->
+            let core = Solver.failed_assumptions s in
+            (not expect)
+            && List.for_all
+                 (fun l -> List.mem (Lit.to_dimacs l) assumptions)
+                 core
+            && Solver.solve ~assumptions:core s = Solver.Unsat
+          | Solver.Unknown -> false)
+        steps)
+
 let test_stats () =
   let s = php ~pigeons:5 ~holes:4 in
   ignore (Solver.solve s);
@@ -261,6 +333,116 @@ let test_stats () =
     (st.Solver.peak_learnts > 0);
   Alcotest.(check bool) "propagation throughput tracked" true
     (st.Solver.props_per_s >= 0.)
+
+(* --- search identity ---------------------------------------------------
+
+   The solver's search is a deterministic function of its config and clause
+   stream. These pins record the exact counters, verdicts, models and
+   failed-assumption cores of a few instances that exercise learnt-DB
+   reduction, clause-storage compaction, incremental assumption solving and
+   the diversification knobs. A storage-layer change that keeps the search
+   identical keeps every pin; one that perturbs a watch order, a learnt
+   clause or a reduction choice moves them. *)
+
+let counters s =
+  let st = Solver.stats s in
+  [ st.Solver.conflicts; st.Solver.decisions; st.Solver.propagations;
+    st.Solver.restarts; st.Solver.peak_learnts ]
+
+let model_hash s nvars =
+  let h = ref 0 in
+  for v = 0 to nvars - 1 do
+    h := ((!h * 31) + if Solver.value_var s v then 1 else 0) land 0xFFFFFFF
+  done;
+  !h
+
+(* Uniform random 3-SAT from a private LCG, so the instance does not depend
+   on the standard library's PRNG. *)
+let random_3sat ?(config = Solver.default_config) ~seed ~vars ~clauses () =
+  let st = ref seed in
+  let next bound =
+    st := ((!st * 0x5DEECE66D) + 11) land 0xFFFFFFFFFFFF;
+    (!st lsr 17) mod bound
+  in
+  let s = Solver.create ~config () in
+  ignore (Solver.new_vars s vars);
+  for _ = 1 to clauses do
+    let rec pick acc =
+      if List.length acc = 3 then acc
+      else
+        let v = next vars in
+        if List.mem v (List.map Lit.var acc) then pick acc
+        else pick (Lit.make v (next 2 = 1) :: acc)
+    in
+    Solver.add_clause s (pick [])
+  done;
+  s
+
+let verdict s nvars = function
+  | Solver.Sat -> model_hash s nvars
+  | Solver.Unsat -> -1
+  | Solver.Unknown -> -2
+
+(* php(9,8) runs three learnt-DB reductions, each followed by compaction. *)
+let test_pin_php () =
+  let s = php ~pigeons:9 ~holes:8 in
+  let r = Solver.solve s in
+  Alcotest.(check (list int)) "php(9,8) verdict and counters"
+    [ -1; 17687; 21341; 230969; 62; 13788 ] (verdict s 72 r :: counters s)
+
+let test_pin_random_3sat () =
+  let s = random_3sat ~seed:7 ~vars:180 ~clauses:767 () in
+  let r = Solver.solve s in
+  Alcotest.(check (list int)) "random 3-SAT verdict, model and counters"
+    [ 212277882; 7157; 8581; 264065; 30; 4144 ] (verdict s 180 r :: counters s);
+  let st = Solver.stats s in
+  Alcotest.(check bool) "learnt DB was reduced" true
+    (st.Solver.learnt_clauses < st.Solver.peak_learnts)
+
+(* Seven pigeons, nine holes; assumption [a_h] closes hole [h]. Closing
+   three or more holes is UNSAT, and the core names the closed holes the
+   refutation needs. A clause added mid-sweep exercises incremental adds. *)
+let test_pin_assumption_sweep () =
+  let pigeons = 7 and holes = 9 in
+  let s = php ~pigeons ~holes in
+  let closer = Solver.new_vars s holes in
+  for h = 0 to holes - 1 do
+    for p = 0 to pigeons - 1 do
+      Solver.add_clause s
+        [ Lit.neg_of (closer + h); Lit.neg_of ((p * holes) + h) ]
+    done
+  done;
+  let nv = Solver.nvars s in
+  let trace = ref [] in
+  for k = 0 to 4 do
+    if k = 2 then Solver.add_clause s [ Lit.neg_of 0; Lit.neg_of (holes + 1) ];
+    let assumptions =
+      List.init (k + 1) (fun h -> Lit.pos (closer + ((k + (2 * h)) mod holes)))
+    in
+    let r = Solver.solve ~assumptions s in
+    trace := verdict s nv r :: !trace;
+    if r = Solver.Unsat then begin
+      let core = Solver.failed_assumptions s in
+      trace := List.rev_append (List.map (fun l -> Lit.var l - closer) core) !trace;
+      (* the core alone still refutes *)
+      Alcotest.check result "core refutes" Solver.Unsat
+        (Solver.solve ~assumptions:core s)
+    end
+  done;
+  Alcotest.(check (list int)) "verdicts, models, cores and counters"
+    [ 108239880; 156364801; -1; 2; 4; 6; -1; 3; 5; 7; 0; -1; 4; 6; 8; 1; 3;
+      799; 1076; 11850; 6; 799 ] (List.rev !trace @ counters s)
+
+let test_pin_diversified () =
+  let config =
+    { Solver.default_config with
+      seed = 7; random_polarity = 0.05; var_jitter = 0.5;
+      restart = Solver.Geometric; restart_base = 50 }
+  in
+  let s = random_3sat ~config ~seed:8 ~vars:180 ~clauses:767 () in
+  let r = Solver.solve s in
+  Alcotest.(check (list int)) "diversified verdict and counters"
+    [ -1; 7862; 9183; 277380; 10; 1663 ] (verdict s 180 r :: counters s)
 
 (* --- DIMACS --- *)
 
@@ -324,6 +506,16 @@ let () =
           Alcotest.test_case "value without model" `Quick test_value_without_model;
           Alcotest.test_case "stats" `Quick test_stats;
           qtest prop_random_cnf;
+          qtest prop_incremental;
+        ] );
+      ( "search identity",
+        [
+          Alcotest.test_case "php(9,8) pins" `Quick test_pin_php;
+          Alcotest.test_case "random 3-SAT pins" `Quick test_pin_random_3sat;
+          Alcotest.test_case "assumption sweep pins" `Quick
+            test_pin_assumption_sweep;
+          Alcotest.test_case "diversified config pins" `Quick
+            test_pin_diversified;
         ] );
       ( "dimacs",
         [
